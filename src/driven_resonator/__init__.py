@@ -21,8 +21,6 @@ from .model import (
     bose_einstein_derivative,
     config_from_dict,
     config_to_dict,
-    discontinuities,
-    drive_eval,
     dump_config,
     load_config,
 )

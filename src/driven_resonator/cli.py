@@ -3,6 +3,9 @@
 Each subcommand loads a JSON configuration (or a built-in default that
 mirrors a standard parameter set), runs the corresponding computation, and
 writes CSV data files plus a JSON run manifest into the output directory.
+The manifest's ``diagnostics`` object records numerical health (for the
+periodic-state subcommands: the periodicity certificate and the epoch); it
+never enters the data files.
 
 The tool is fully deterministic: it uses no random numbers anywhere, and
 identical configurations produce byte-identical data files (floats are
@@ -75,7 +78,9 @@ def config_hash(config: Config) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-def write_manifest(outdir: Path, subcommand: str, config: Config, outputs: list[str], t0: float) -> None:
+def write_manifest(
+    outdir: Path, subcommand: str, config: Config, outputs: list[str], t0: float, diagnostics: dict
+) -> None:
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
@@ -83,6 +88,7 @@ def write_manifest(outdir: Path, subcommand: str, config: Config, outputs: list[
         "config_sha256": config_hash(config),
         "duration_seconds": time.monotonic() - t0,
         "outputs": outputs,
+        "diagnostics": diagnostics,
     }
     path = outdir / f"{subcommand.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
@@ -150,31 +156,35 @@ def _write_thermo(outdir: Path, stem: str, traj: dynamics.ThermoTrajectory, t_of
     return [f"{stem}.csv", f"{stem}_impulses.csv"]
 
 
-def _periodic_thermo(config: Config, periods: float) -> tuple[dynamics.ThermoTrajectory, float]:
-    """Thermo trajectory over `periods` drive periods in the periodic state."""
+def _periodic_thermo(config: Config) -> tuple[dynamics.ThermoTrajectory, dynamics.PeriodicState]:
+    """Thermo trajectory over the grid's span in the periodic state, from its epoch."""
     params, drive, grid = config.system, config.drive, config.grid
     state = dynamics.relax_to_periodic(params, drive, grid)
-    span = periods * state.period
-    window = SimulationGrid(
-        t_start=state.epoch,
-        t_end=state.epoch + span,
-        dt_max=grid.dt_max,
-        n_samples=grid.n_samples,
-    )
+    # an aperiodic drive's periodic state already starts at grid.t_start
+    window = grid
+    if drive.is_periodic:
+        window = SimulationGrid(
+            t_start=state.epoch,
+            t_end=state.epoch + (grid.t_end - grid.t_start),
+            dt_max=grid.dt_max,
+            n_samples=grid.n_samples,
+        )
     occ = dynamics.occupancy_trajectory(params, drive, window, state.start_occupation)
-    return dynamics.thermo_observables(occ, drive, params), state.epoch
+    return dynamics.thermo_observables(occ, drive, params), state
 
 
-def cmd_temperature(config: Config, outdir: Path, args) -> list[str]:
-    periods = (config.grid.t_end - config.grid.t_start) / (
-        config.drive.period if config.drive.is_periodic else (config.grid.t_end - config.grid.t_start)
-    )
-    traj, epoch = _periodic_thermo(config, periods)
-    return _write_thermo(outdir, "temperature", traj, epoch)
+def _state_diagnostics(state: dynamics.PeriodicState) -> dict:
+    return {"periodicity_certificate": state.certificate, "epoch": state.epoch}
 
 
-def cmd_thermo(config: Config, outdir: Path, args) -> list[str]:
+def cmd_temperature(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
+    traj, state = _periodic_thermo(config)
+    return _write_thermo(outdir, "temperature", traj, state.epoch), _state_diagnostics(state)
+
+
+def cmd_thermo(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
     outputs: list[str] = []
+    diagnostics: dict = {}
     base = config.drive
     kinds = (base.kind,) if base.kind == "tabulated" else ("square", "sawtooth", "harmonic")
     for kind in kinds:
@@ -186,12 +196,13 @@ def cmd_thermo(config: Config, outdir: Path, args) -> list[str]:
             phase=base.phase,
         )
         cfg = Config(system=config.system, drive=drive, grid=config.grid)
-        traj, epoch = _periodic_thermo(cfg, (config.grid.t_end - config.grid.t_start) / base.period)
-        outputs += _write_thermo(outdir, f"thermo_{kind}", traj, epoch)
-    return outputs
+        traj, state = _periodic_thermo(cfg)
+        outputs += _write_thermo(outdir, f"thermo_{kind}", traj, state.epoch)
+        diagnostics[kind] = _state_diagnostics(state)
+    return outputs, diagnostics
 
 
-def cmd_linear_response(config: Config, outdir: Path, args) -> list[str]:
+def cmd_linear_response(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
     params, drive = config.system, config.drive
     if not drive.is_periodic:
         raise ConfigError("linear-response needs a periodic drive")
@@ -202,8 +213,7 @@ def cmd_linear_response(config: Config, outdir: Path, args) -> list[str]:
         "P": linear_response.power_response(omega_mod, params),
         "J": linear_response.heat_response(omega_mod, params),
     }
-    periods = (config.grid.t_end - config.grid.t_start) / drive.period
-    traj, epoch = _periodic_thermo(config, periods)
+    traj, state = _periodic_thermo(config)
     phase_arg = omega_mod * traj.t + drive.phase
     baselines = {"T": params.T_e, "P": 0.0, "J": 0.0}
     lr_cols = {
@@ -214,7 +224,7 @@ def cmd_linear_response(config: Config, outdir: Path, args) -> list[str]:
         outdir / "linear_response_timeseries.csv",
         THERMO_UNITS + "; *_lr are small-signal predictions",
         ["t", "omega0", "T", "P", "J", "T_lr", "P_lr", "J_lr"],
-        [traj.t - epoch, traj.omega0, traj.T, traj.P, traj.J, lr_cols["T"], lr_cols["P"], lr_cols["J"]],
+        [traj.t - state.epoch, traj.omega0, traj.T, traj.P, traj.J, lr_cols["T"], lr_cols["P"], lr_cols["J"]],
     )
     outputs.append("linear_response_timeseries.csv")
 
@@ -233,10 +243,10 @@ def cmd_linear_response(config: Config, outdir: Path, args) -> list[str]:
             [sweep, values.real, values.imag, np.abs(values), np.angle(values)],
         )
         outputs.append(name)
-    return outputs
+    return outputs, _state_diagnostics(state)
 
 
-def cmd_cumulants(config: Config, outdir: Path, args) -> list[str]:
+def cmd_cumulants(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
     order = args.order
     jets = counting.cumulant_trajectories(order, config.system, config.drive, config.grid)
     names = ["t"] + [f"c{k}" for k in range(1, order + 1)]
@@ -247,10 +257,10 @@ def cmd_cumulants(config: Config, outdir: Path, args) -> list[str]:
         names,
         cols,
     )
-    return ["cumulants.csv"]
+    return ["cumulants.csv"], {}
 
 
-def cmd_lr_cumulants(config: Config, outdir: Path, args) -> list[str]:
+def cmd_lr_cumulants(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
     params, drive = config.system, config.drive
     if not drive.is_periodic:
         raise ConfigError("lr-cumulants needs a periodic drive")
@@ -276,7 +286,7 @@ def cmd_lr_cumulants(config: Config, outdir: Path, args) -> list[str]:
         names,
         cols,
     )
-    return ["lr_cumulants.csv"]
+    return ["lr_cumulants.csv"], {}
 
 
 def _auto_distribution_time(config: Config) -> float:
@@ -289,7 +299,7 @@ def _auto_distribution_time(config: Config) -> float:
     return float(jets.t[sel][idx])
 
 
-def cmd_distribution(config: Config, outdir: Path, args) -> list[str]:
+def cmd_distribution(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
     t_count = args.at_time if args.at_time is not None else _auto_distribution_time(config)
     if t_count == 0.0:
         write_csv(
@@ -298,7 +308,7 @@ def cmd_distribution(config: Config, outdir: Path, args) -> list[str]:
             ["m", "p"],
             [np.array([0]), np.array([1.0])],
         )
-        return ["distribution.csv"]
+        return ["distribution.csv"], {}
     dist = counting.distribution(t_count, args.m_max, config.system, config.drive, config.grid)
     write_csv(
         outdir / "distribution.csv",
@@ -312,10 +322,10 @@ def cmd_distribution(config: Config, outdir: Path, args) -> list[str]:
         ["m", "p_eq"],
         [dist.m, counting.equilibrium_distribution(config.system.x, dist.m)],
     )
-    return ["distribution.csv", "distribution_equilibrium.csv"]
+    return ["distribution.csv", "distribution_equilibrium.csv"], {}
 
 
-def cmd_verify_oracle(config: Config, outdir: Path, args) -> list[str]:
+def cmd_verify_oracle(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
     outcomes = verify.run_verification(
         include_driven=not args.quick, params=config.system, drive=config.drive
     )
@@ -338,7 +348,7 @@ def cmd_verify_oracle(config: Config, outdir: Path, args) -> list[str]:
     )
     if failures:
         raise RuntimeError(f"{failures} verification check(s) failed")
-    return ["verify_oracle.csv"]
+    return ["verify_oracle.csv"], {}
 
 
 COMMANDS = {
@@ -396,8 +406,8 @@ def main(argv=None) -> int:
         config = load_config(args.params) if args.params else _default_config(args.subcommand)
         outdir = args.out
         outdir.mkdir(parents=True, exist_ok=True)
-        outputs = COMMANDS[args.subcommand](config, outdir, args)
-        write_manifest(outdir, args.subcommand, config, outputs, t0)
+        outputs, diagnostics = COMMANDS[args.subcommand](config, outdir, args)
+        write_manifest(outdir, args.subcommand, config, outputs, t0, diagnostics)
     except (ConfigError, DriveError, ValueError) as exc:
         return _error("config", str(exc), 2)
     except (

@@ -18,6 +18,12 @@ energy balance
 
 exact to integrator accuracy. The cumulative integrals of P and J are
 carried as additional ODE components for that reason.
+
+The equation is linear in n, so the map over one drive period tau is
+exactly n -> exp(-gamma*tau) * n + b. The periodic state is its fixed point,
+found by one-period shooting (one integration from n = 0 gives b) and
+certified by integrating the period once more from the fixed point; no
+relaxation pre-run is needed.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ PERIODICITY_TOL = 1e-9
 
 
 class PeriodicConvergenceError(RuntimeError):
-    """Raised when the periodic-state certificate fails after retries."""
+    """Raised when the periodic-state certificate fails."""
 
 
 @dataclass(frozen=True)
@@ -263,76 +269,59 @@ def simulate_thermo(
     return thermo_observables(occ, drive, params)
 
 
-def default_relax_periods(params: SystemParams, period: float) -> int:
-    """Whole periods covering both the slow-dissipation and slow-drive limits."""
-    if params.gamma == 0.0:
-        return 1
-    return max(1, math.ceil(max(10.0 / params.gamma, 20.0 * period) / period))
-
-
-def _nominal_period(drive: DriveWaveform, grid: SimulationGrid) -> float:
-    if drive.is_periodic:
-        return drive.period
-    # aperiodic drives: treat the grid window as the reporting period
-    return grid.t_end - grid.t_start
-
-
 def relax_to_periodic(
     params: SystemParams,
     drive: DriveWaveform,
     grid: SimulationGrid,
     n_init: float | None = None,
 ) -> PeriodicState:
-    """Relax from equilibrium until the trajectory is certifiably periodic.
+    """Certified periodic state by one-period shooting.
 
-    Integrates from n_init (default: the reservoir-equilibrium occupation)
-    for a whole number of drive periods, then returns one period sampled with
-    grid.n_samples points. Certified by |n(t0 + tau) - n(t0)| below
-    PERIODICITY_TOL relative to the thermal occupation; the relax time is
-    doubled up to twice before giving up.
+    The occupancy equation is linear in n, so its map over one period tau is
+    exactly n(t0 + tau) = exp(-gamma*tau) * n(t0) + b. One period integrated
+    from n = 0 gives b, and the periodic state starts from the fixed point
+    n* = b / (1 - exp(-gamma*tau)). That period is integrated again from n*
+    and sampled with grid.n_samples points; the state is certified by
+    |n(t0 + tau) - n*| below PERIODICITY_TOL relative to the thermal
+    occupation, and PeriodicConvergenceError is raised otherwise.
+
+    The division amplifies any error of b by 1/(1 - exp(-gamma*tau)), which
+    is about 1/(gamma*tau) when gamma*tau << 1: the weaker the dissipation
+    per period, the more integrator accuracy the fixed point needs.
+
+    Periodic drives start at t0 = 0 (cycle phase zero). Aperiodic drives
+    (constant, tabulated) treat the grid window as the period, with
+    t0 = grid.t_start. Without dissipation (gamma = 0) every occupation is
+    periodic and n_init (default: the reservoir-equilibrium occupation) is
+    returned unchanged; otherwise n_init is not used.
     """
-    if n_init is None:
-        n_init = params.n_thermal
-    tau = _nominal_period(drive, grid)
-    n_ref = params.n_thermal
+    if drive.is_periodic:
+        t0, t1 = 0.0, drive.period
+    else:
+        t0, t1 = grid.t_start, grid.t_end
+    tau = t1 - t0
+    times = np.linspace(t0, t1, grid.n_samples)
 
     if params.gamma == 0.0:
-        # no dissipation: any occupation is trivially periodic
-        t = np.linspace(0.0, tau, grid.n_samples)
-        jumps = jumps_in_window(drive, 0.0, tau)
+        n0 = params.n_thermal if n_init is None else float(n_init)
+        jumps = jumps_in_window(drive, t0, t1)
         occ = OccupancySeries(
-            t=t,
-            n=np.full(grid.n_samples, float(n_init)),
+            t=times,
+            n=np.full(grid.n_samples, n0),
             cumulative_work=np.zeros(grid.n_samples),
             cumulative_heat=np.zeros(grid.n_samples),
             jump_times=jumps,
-            jump_occupations=np.full(jumps.size, float(n_init)),
+            jump_occupations=np.full(jumps.size, n0),
         )
-        return PeriodicState(epoch=0.0, period=tau, occupancy=occ, certificate=0.0)
+        return PeriodicState(epoch=t0, period=tau, occupancy=occ, certificate=0.0)
 
-    periods = grid.relax_periods or default_relax_periods(params, tau)
-    for _attempt in range(3):
-        t0 = periods * tau
-        pre = _integrate_occupancy(
-            params, drive, 0.0, t0, n_init, [t0], max_step=grid.dt_max
+    from_zero = _integrate_occupancy(params, drive, t0, t1, 0.0, [t1], max_step=grid.dt_max)
+    n_star = float(from_zero.n[-1]) / -math.expm1(-params.gamma * tau)
+    one_period = _integrate_occupancy(params, drive, t0, t1, n_star, times, max_step=grid.dt_max)
+    certificate = abs(float(one_period.n[-1]) - n_star)
+    tol = PERIODICITY_TOL * params.n_thermal
+    if not certificate < tol:
+        raise PeriodicConvergenceError(
+            f"periodicity certificate {certificate:.3e} above {tol:.3e}"
         )
-        n0 = float(pre.n[-1])
-        one_period = _integrate_occupancy(
-            params,
-            drive,
-            t0,
-            t0 + tau,
-            n0,
-            np.linspace(t0, t0 + tau, grid.n_samples),
-            max_step=grid.dt_max,
-        )
-        certificate = abs(float(one_period.n[-1]) - n0)
-        if certificate < PERIODICITY_TOL * n_ref:
-            return PeriodicState(
-                epoch=t0, period=tau, occupancy=one_period, certificate=certificate
-            )
-        periods *= 2
-    raise PeriodicConvergenceError(
-        f"periodicity certificate {certificate:.3e} above "
-        f"{PERIODICITY_TOL * n_ref:.3e} after doubling the relax time twice"
-    )
+    return PeriodicState(epoch=t0, period=tau, occupancy=one_period, certificate=certificate)

@@ -29,8 +29,6 @@ __all__ = [
     "Config",
     "bose_einstein",
     "bose_einstein_derivative",
-    "drive_eval",
-    "discontinuities",
     "config_from_dict",
     "config_to_dict",
     "load_config",
@@ -317,16 +315,6 @@ class DriveWaveform:
             raise DriveError("omega_0(t) must stay positive over the drive")
 
 
-def drive_eval(drive: DriveWaveform, t):
-    """Evaluate omega_0(t) (right-continuous at jumps)."""
-    return drive.omega(t)
-
-
-def discontinuities(drive: DriveWaveform, t_start: float, t_end: float) -> np.ndarray:
-    """Sorted value-jump times of the drive in [t_start, t_end)."""
-    return drive.jump_times(t_start, t_end)
-
-
 @dataclass(frozen=True)
 class SimulationGrid:
     """Integration window and output sampling.
@@ -334,9 +322,10 @@ class SimulationGrid:
     t_start, t_end : integration span, units of 1/omega_bar
     dt_max         : maximum integrator step (np.inf = let the stepper choose)
     n_samples      : number of equally spaced output samples, >= 2
-    relax_periods  : optional pre-run length, in whole drive periods, used to
-                     reach the periodic state; None selects the default
-                     heuristic max(10/gamma, 20*tau) rounded up to periods
+    relax_periods  : accepted and round-tripped so that existing
+                     configurations and their config_sha256 stay valid;
+                     nothing reads it, since the periodic state is found by
+                     one-period shooting without a relaxation pre-run
     """
 
     t_start: float = 0.0

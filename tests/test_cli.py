@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from driven_resonator import dynamics
 from driven_resonator.cli import main
 from driven_resonator.model import config_from_dict
 
@@ -167,3 +168,51 @@ def test_thermo_emits_all_three_drives(tmp_path):
         assert (tmp_path / f"thermo_{kind}_impulses.csv").exists()
     _, rows = read_rows(tmp_path / "thermo_square_impulses.csv")
     assert len(rows) == 2  # two jump events in one period
+
+
+# knots at t = 40 and 80 lie inside the grid window [10, 110]; with 401
+# samples (dt = 0.25) both sit on even sample indices
+TABULATED_KNOTS = [[0.0, 1.0], [40.0, 1.3], [80.0, 0.8], [120.0, 1.0]]
+
+
+@pytest.mark.parametrize("subcommand, stem", [("temperature", "temperature"),
+                                              ("thermo", "thermo_tabulated")])
+def test_tabulated_drive_closes_first_law(tmp_path, subcommand, stem):
+    doc = fast_config(system={"gamma": 0.05},
+                      drive={"kind": "tabulated", "amplitude": 0.0, "period": 0.0,
+                             "knots": TABULATED_KNOTS},
+                      grid={"t_start": 10.0, "t_end": 110.0, "n_samples": 401})
+    cfg = write_config(tmp_path, doc)
+    assert main([subcommand, "--params", str(cfg), "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / f"{stem}.csv")
+    c = dict(zip(header, np.array(rows, dtype=float).T))
+    assert c["t"][0] == 0.0 and c["t"][-1] == 100.0
+    # Simpson's rule over sample pairs: dU = int (P + J) dt to O(dt^5), so the
+    # residual is integrator noise. P is written as the right limit of the
+    # slope, so the pair ending on each knot is skipped.
+    f = c["P"] + c["J"]
+    dt = c["t"][1] - c["t"][0]
+    residual = c["U"][2::2] - c["U"][:-2:2] - dt / 3 * (f[:-2:2] + 4 * f[1::2] + f[2::2])
+    ends_on_knot = np.isin(c["t"][2::2] + 10.0, [k[0] for k in TABULATED_KNOTS])
+    assert np.max(np.abs(residual[~ends_on_knot])) < 1e-10 * np.max(np.abs(c["U"]))
+    manifest = json.loads((tmp_path / f"{subcommand}_manifest.json").read_text())
+    diag = manifest["diagnostics"] if subcommand == "temperature" else manifest["diagnostics"]["tabulated"]
+    assert diag["epoch"] == 10.0
+
+
+def test_manifests_report_periodicity_certificate(tmp_path):
+    doc = fast_config()
+    cfg = write_config(tmp_path, doc)
+    tol = dynamics.PERIODICITY_TOL * config_from_dict(doc).system.n_thermal
+    for subcommand in ("temperature", "thermo", "linear-response"):
+        assert main([subcommand, "--params", str(cfg), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / f"{subcommand.replace('-', '_')}_manifest.json").read_text())
+        diags = manifest["diagnostics"]
+        if subcommand == "thermo":
+            assert sorted(diags) == ["harmonic", "sawtooth", "square"]
+            diags = list(diags.values())
+        else:
+            diags = [diags]
+        for diag in diags:
+            assert 0.0 <= diag["periodicity_certificate"] < tol
+            assert diag["epoch"] == 0.0

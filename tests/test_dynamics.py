@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driven_resonator import dynamics
 from driven_resonator.dynamics import (
     PeriodicConvergenceError,
     adiabatic_temperature,
@@ -104,9 +105,7 @@ def test_weak_coupling_temperature_follows_drive():
     # would measure that offset rather than the following law.
     params = SystemParams(omega_bar=1.0, gamma=3e-4, T_e=1.5)
     drive = harmonic_drive(0.7)
-    state = relax_to_periodic(
-        params, drive, SimulationGrid(0.0, TAU, n_samples=501, relax_periods=1600)
-    )
+    state = relax_to_periodic(params, drive, SimulationGrid(0.0, TAU, n_samples=501))
     traj = thermo_observables(state.occupancy, drive, params)
     predicted = adiabatic_temperature(traj.omega0, traj.omega0[0], traj.T[0])
     assert np.max(np.abs(traj.T - predicted) / predicted) < 0.01
@@ -189,13 +188,43 @@ def test_relax_constant_drive_is_flat(warm_params, constant_drive):
     assert np.max(np.abs(state.occupancy.n - warm_params.n_thermal)) < 1e-9
 
 
-def test_relax_nonconvergence_raises_after_retries():
-    # with essentially no dissipation and a one-period relax budget the
-    # certificate cannot be met even after the two allowed doublings
+def test_relax_weak_dissipation_is_certified():
+    # gamma*tau ~ 6e-3: a relaxation would need ~1600 periods, the shooting
+    # solves the one-period map exactly
     params = SystemParams(omega_bar=1.0, gamma=1e-4, T_e=1.5)
-    drive = harmonic_drive(0.5)
+    state = relax_to_periodic(params, harmonic_drive(0.5), SimulationGrid(0.0, TAU, n_samples=11))
+    assert state.certificate < dynamics.PERIODICITY_TOL * params.n_thermal
+    assert state.epoch == 0.0
+
+
+def test_relax_certificate_failure_raises(monkeypatch, warm_params):
+    monkeypatch.setattr(dynamics, "PERIODICITY_TOL", 0.0)
     with pytest.raises(PeriodicConvergenceError):
-        relax_to_periodic(params, drive, SimulationGrid(0.0, TAU, n_samples=11, relax_periods=1))
+        relax_to_periodic(warm_params, harmonic_drive(0.5), SimulationGrid(0.0, TAU, n_samples=11))
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 1e-3, 0.05, 0.2])
+def test_square_fixed_point_matches_closed_form(gamma):
+    # n_B is piecewise constant, so each half period maps n exactly to
+    # a*n + (1 - a)*n_B with a = exp(-gamma*tau/2); composing the two maps
+    # gives the fixed point (a*n_B(high) + n_B(low)) / (1 + a)
+    params = SystemParams(omega_bar=1.0, gamma=gamma, T_e=1.5)
+    drive = DriveWaveform(kind="square", omega_bar=1.0, amplitude=0.7, period=TAU)
+    state = relax_to_periodic(params, drive, SimulationGrid(0.0, TAU, n_samples=11))
+    a = math.exp(-gamma * TAU / 2)
+    want = (a * bose_einstein(1.7, 1.5) + bose_einstein(0.3, 1.5)) / (1 + a)
+    assert state.start_occupation == pytest.approx(want, rel=1e-10)
+
+
+def test_harmonic_fixed_point_matches_brute_force_relaxation():
+    # gamma * 40 periods ~ 126: the relaxed start has forgotten n_init
+    params = SystemParams(omega_bar=1.0, gamma=0.05, T_e=1.5)
+    drive = harmonic_drive(0.5)
+    state = relax_to_periodic(params, drive, SimulationGrid(0.0, TAU, n_samples=11))
+    relaxed = occupancy_trajectory(
+        params, drive, SimulationGrid(0.0, 40 * TAU, n_samples=2), params.n_thermal
+    )
+    assert state.start_occupation == pytest.approx(relaxed.n[-1], rel=1e-9)
 
 
 def test_strong_coupling_response_is_distorted():

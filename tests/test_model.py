@@ -15,8 +15,6 @@ from driven_resonator.model import (
     bose_einstein,
     config_from_dict,
     config_to_dict,
-    discontinuities,
-    drive_eval,
 )
 
 TAU = 2.0 * math.pi / 0.1
@@ -87,14 +85,14 @@ def test_weak_coupling_advisory_warns_but_accepts():
 
 def test_harmonic_drive_matches_sine():
     d = DriveWaveform(kind="harmonic", omega_bar=1.0, amplitude=0.1, period=TAU)
-    assert drive_eval(d, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert d.omega(0.0) == pytest.approx(1.0, abs=1e-15)
     t = np.linspace(0.0, 2 * TAU, 101)
     assert np.allclose(d.omega(t), 1.0 + 0.1 * np.sin(0.1 * t), atol=1e-14)
 
 
 def test_constant_drive_identity():
     d = DriveWaveform(kind="constant", omega_bar=1.0)
-    assert drive_eval(d, 123.4) == 1.0
+    assert d.omega(123.4) == 1.0
 
 
 def test_square_quarter_period_values():
@@ -112,13 +110,13 @@ def test_square_right_continuity_at_jump():
 
 def test_square_discontinuities_per_period():
     d = DriveWaveform(kind="square", omega_bar=1.0, amplitude=0.7, period=TAU)
-    jumps = discontinuities(d, 0.0, TAU)
+    jumps = d.jump_times(0.0, TAU)
     assert jumps == pytest.approx([0.0, TAU / 2])
 
 
 def test_sawtooth_discontinuities_are_resets():
     d = DriveWaveform(kind="sawtooth", omega_bar=1.0, amplitude=0.7, period=TAU)
-    jumps = discontinuities(d, 0.0, 2 * TAU)
+    jumps = d.jump_times(0.0, 2 * TAU)
     assert jumps == pytest.approx([0.0, TAU])
     before, after = d.jump_values(TAU)
     assert before == pytest.approx(1.7)
@@ -133,7 +131,7 @@ def test_smooth_drives_have_no_discontinuities():
             amplitude=0.0 if kind == "constant" else 0.3,
             period=TAU,
         )
-        assert discontinuities(d, 0.0, 5 * TAU).size == 0
+        assert d.jump_times(0.0, 5 * TAU).size == 0
 
 
 @pytest.mark.parametrize("kind", ["square", "sawtooth", "harmonic"])
