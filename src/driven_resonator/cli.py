@@ -10,11 +10,11 @@ never enters the data files.
 The tool is fully deterministic: it uses no random numbers anywhere, and
 identical configurations produce byte-identical data files (floats are
 written with 17 significant digits, '.' decimal separator, and LF line
-endings). The reserved --seedless flag documents this; setting it is
-rejected because there is no seed to suppress.
+endings).
 
 Exit status: 0 on success; 2 for configuration/usage errors; 3 for
-numerical failures. Errors are reported as a JSON object on stderr.
+numerical failures. Errors, command-line usage errors included, are
+reported as a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -177,17 +177,13 @@ def _state_diagnostics(state: dynamics.PeriodicState) -> dict:
     return {"periodicity_certificate": state.certificate, "epoch": state.epoch}
 
 
-def cmd_temperature(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
-    traj, state = _periodic_thermo(config)
-    return _write_thermo(outdir, "temperature", traj, state.epoch), _state_diagnostics(state)
-
-
-def cmd_thermo(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
+def _thermo_kinds(config: Config, outdir: Path, stems: dict[str, str]) -> tuple[list[str], dict]:
+    """Periodic-state thermo CSVs per drive kind (kind -> file stem); other
+    kinds than the configured one reuse its amplitude, period and phase."""
     outputs: list[str] = []
     diagnostics: dict = {}
     base = config.drive
-    kinds = (base.kind,) if base.kind == "tabulated" else ("square", "sawtooth", "harmonic")
-    for kind in kinds:
+    for kind, stem in stems.items():
         drive = base if kind == base.kind else DriveWaveform(
             kind=kind,
             omega_bar=base.omega_bar,
@@ -195,11 +191,22 @@ def cmd_thermo(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
             period=base.period,
             phase=base.phase,
         )
-        cfg = Config(system=config.system, drive=drive, grid=config.grid)
-        traj, state = _periodic_thermo(cfg)
-        outputs += _write_thermo(outdir, f"thermo_{kind}", traj, state.epoch)
+        traj, state = _periodic_thermo(Config(system=config.system, drive=drive, grid=config.grid))
+        outputs += _write_thermo(outdir, stem, traj, state.epoch)
         diagnostics[kind] = _state_diagnostics(state)
     return outputs, diagnostics
+
+
+def cmd_temperature(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
+    kind = config.drive.kind
+    outputs, diagnostics = _thermo_kinds(config, outdir, {kind: "temperature"})
+    return outputs, diagnostics[kind]
+
+
+def cmd_thermo(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
+    base = config.drive
+    kinds = (base.kind,) if base.kind == "tabulated" else ("square", "sawtooth", "harmonic")
+    return _thermo_kinds(config, outdir, {kind: f"thermo_{kind}" for kind in kinds})
 
 
 def cmd_linear_response(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
@@ -289,18 +296,31 @@ def cmd_lr_cumulants(config: Config, outdir: Path, args) -> tuple[list[str], dic
     return ["lr_cumulants.csv"], {}
 
 
-def _auto_distribution_time(config: Config) -> float:
-    """Default sampling time: maximal variance in the third/fourth period."""
-    tau = config.drive.period
-    grid = SimulationGrid(t_start=0.0, t_end=4.0 * tau, n_samples=2001)
-    jets = counting.cumulant_trajectories(2, config.system, config.drive, grid)
+def _auto_distribution_time(config: Config) -> tuple[float, SimulationGrid, float]:
+    """Default counting time: maximal variance in the third/fourth period.
+
+    Also returns the four-period grid from the periodic state's epoch and the
+    occupation there, so that the distribution reuses that one solve.
+    """
+    params, drive = config.system, config.drive
+    if not drive.is_periodic:
+        raise ConfigError(
+            f"the automatic counting time needs a periodic drive, not {drive.kind!r}; "
+            "pass --at-time"
+        )
+    epoch, n0 = counting.counting_epoch(params, drive, config.grid)
+    tau = drive.period
+    grid = SimulationGrid(t_start=epoch, t_end=epoch + 4.0 * tau, n_samples=2001)
+    jets = counting.cumulant_trajectories(2, params, drive, grid, n_init=n0)
     sel = jets.t >= 2.0 * tau
     idx = np.argmax(jets.cumulants[sel, 1])
-    return float(jets.t[sel][idx])
+    return float(jets.t[sel][idx]), grid, n0
 
 
 def cmd_distribution(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
-    t_count = args.at_time if args.at_time is not None else _auto_distribution_time(config)
+    t_count, grid, n0 = args.at_time, config.grid, None
+    if t_count is None:
+        t_count, grid, n0 = _auto_distribution_time(config)
     if t_count == 0.0:
         write_csv(
             outdir / "distribution.csv",
@@ -309,7 +329,7 @@ def cmd_distribution(config: Config, outdir: Path, args) -> tuple[list[str], dic
             [np.array([0]), np.array([1.0])],
         )
         return ["distribution.csv"], {}
-    dist = counting.distribution(t_count, args.m_max, config.system, config.drive, config.grid)
+    dist = counting.distribution(t_count, args.m_max, config.system, config.drive, grid, n_init=n0)
     write_csv(
         outdir / "distribution.csv",
         f"m [-], p [-] after counting for t = {_fmt(t_count)} [1/omega_bar]",
@@ -362,8 +382,19 @@ COMMANDS = {
 }
 
 
+class _UsageError(Exception):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints usage text and exits on a bad command line; raise
+    # instead, so that main reports it as a JSON error like any other
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="driven-resonator",
         description="Thermodynamics and photon counting statistics of a "
         "frequency-modulated quantum resonator.",
@@ -373,11 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} computation")
         p.add_argument("--params", type=Path, default=None, help="JSON configuration file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument(
-            "--seedless",
-            action="store_true",
-            help="reserved: the tool is deterministic and has no RNG to disable",
-        )
         if name in ("cumulants", "lr-cumulants"):
             p.add_argument("--order", type=int, default=4, help="highest cumulant order")
         if name == "distribution":
@@ -394,13 +420,10 @@ def _error(kind: str, message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.seedless:
-        return _error(
-            "usage",
-            "--seedless is reserved: no computation here consumes randomness",
-            2,
-        )
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _error("usage", str(exc), 2)
     t0 = time.monotonic()
     try:
         config = load_config(args.params) if args.params else _default_config(args.subcommand)

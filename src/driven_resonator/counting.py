@@ -60,7 +60,7 @@ __all__ = [
 # e^C must stay representable in double precision
 REAL_CGF_BOUND = 700.0
 
-# highest cumulant order the jet propagation accepts by default
+# highest cumulant order the jet propagation accepts
 JET_CAPACITY = 8
 
 
@@ -230,7 +230,6 @@ def cumulant_trajectories(
     grid: SimulationGrid,
     *,
     n_init: float | None = None,
-    capacity: int = JET_CAPACITY,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> CumulantTrajectories:
@@ -238,13 +237,13 @@ def cumulant_trajectories(
 
     The counting window has the grid's length; by default it starts at the
     certified periodic state (cycle phase zero), or at grid.t_start with the
-    supplied occupation when n_init is given. Orders beyond the configured
-    jet capacity are refused.
+    supplied occupation when n_init is given. Orders beyond JET_CAPACITY
+    are refused.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order > capacity:
-        raise ValueError(f"order {order} exceeds the jet capacity {capacity}")
+    if order > JET_CAPACITY:
+        raise ValueError(f"order {order} exceeds the jet capacity {JET_CAPACITY}")
     k1 = order + 1
     ep1 = exp_minus_one_jet(order, +1)
     em1 = exp_minus_one_jet(order, -1)

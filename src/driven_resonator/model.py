@@ -177,42 +177,41 @@ class DriveWaveform:
         return self.phase / (2.0 * math.pi)
 
     def omega(self, t, side: int = +1):
-        """omega_0(t); side=-1 selects the left limit at a jump/break time."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
+        """omega_0(t); side=-1 selects the left limit at a jump time.
+
+        t is a float or an ndarray (not a list), and the result is of the same
+        kind: a float (numpy float64) for a float, an array of t's shape for an
+        array. Both go through the same formulas, so a time gives the same bits
+        either way.
+        """
         if self.kind == "constant":
-            out = np.full_like(t, self.omega_bar)
-        elif self.kind == "harmonic":
-            out = self.omega_bar + self.amplitude * np.sin(
-                self.angular_frequency * t + self.phase
-            )
-        elif self.kind == "square":
-            k = self._square_halfindex(t, side)
-            out = self.omega_bar + np.where(k % 2 == 0, self.amplitude, -self.amplitude)
-        elif self.kind == "sawtooth":
-            k, frac = self._sawtooth_cycle(t, side)
-            out = self.omega_bar + self.amplitude * (2.0 * frac - 1.0)
-        else:  # tabulated
-            out = self._tabulated_value(t)
-        return float(out[0]) if scalar else out
+            return self.omega_bar + np.zeros_like(t)
+        if self.kind == "harmonic":
+            return self.omega_bar + self.amplitude * np.sin(self.angular_frequency * t + self.phase)
+        if self.kind == "square":
+            k, _ = self._cycle(t, side, per_period=2)
+            return self.omega_bar + np.where(k % 2 == 0, self.amplitude, -self.amplitude)
+        if self.kind == "sawtooth":
+            _, frac = self._cycle(t, side, per_period=1)
+            return self.omega_bar + self.amplitude * (2.0 * frac - 1.0)
+        return np.interp(t, *self._knots(t))
 
     def slope(self, t, side: int = +1):
-        """d omega_0 / dt; side=-1 selects the left limit at a break time."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        if self.kind in ("constant", "square"):
-            out = np.zeros_like(t)
-        elif self.kind == "harmonic":
-            out = self.amplitude * self.angular_frequency * np.cos(
+        """d omega_0 / dt; side=-1 selects the left limit at a break time.
+
+        Takes and returns a float or an ndarray, as omega does.
+        """
+        if self.kind == "harmonic":
+            return self.amplitude * self.angular_frequency * np.cos(
                 self.angular_frequency * t + self.phase
             )
-        elif self.kind == "sawtooth":
-            out = np.full_like(t, 2.0 * self.amplitude / self.period)
-        else:
-            out = self._tabulated_slope(t, side)
-        return float(out[0]) if scalar else out
+        if self.kind == "tabulated":
+            times, freqs = self._knots(t)
+            seg = np.searchsorted(times, t, side="right" if side >= 0 else "left") - 1
+            seg = np.clip(seg, 0, len(times) - 2)
+            return (freqs[seg + 1] - freqs[seg]) / (times[seg + 1] - times[seg])
+        rate = 2.0 * self.amplitude / self.period if self.kind == "sawtooth" else 0.0
+        return rate + np.zeros_like(t)
 
     # -- discontinuity bookkeeping -------------------------------------------
 
@@ -245,59 +244,38 @@ class DriveWaveform:
 
     # -- internals ------------------------------------------------------------
 
-    def _edge(self, j: int, per_period: int) -> float:
-        # edge j sits at cycle coordinate j/per_period
+    def _edge(self, j, per_period):
+        # edge j sits at cycle coordinate j/per_period; j may be an array
         return (j / per_period - self.phase_cycles) * self.period
 
     def _edges(self, t_start, t_end, per_period):
         lo = math.floor(per_period * (t_start / self.period + self.phase_cycles)) - 1
         hi = math.ceil(per_period * (t_end / self.period + self.phase_cycles)) + 1
-        edges = np.array([self._edge(j, per_period) for j in range(lo, hi + 1)])
+        edges = self._edge(np.arange(lo, hi + 1), per_period)
         return edges[(edges >= t_start) & (edges < t_end)]
 
-    def _square_halfindex(self, t, side):
-        u2 = 2.0 * (t / self.period + self.phase_cycles)
-        k = np.floor(u2).astype(np.int64)
-        # exact edge hits: make evaluation consistent with the advertised
-        # edge times from jump_times()
-        if side >= 0:
-            k = np.where(t == self._edge_array(k + 1, 2), k + 1, k)
-        else:
-            k = np.where(t == self._edge_array(k, 2), k - 1, k)
-        return k
+    def _cycle(self, t, side, per_period):
+        """(edge index, fraction of the way to the next edge) at time t.
 
-    def _sawtooth_cycle(self, t, side):
-        u = t / self.period + self.phase_cycles
-        k = np.floor(u).astype(np.int64)
+        Edges sit at _edge(j, per_period). A t that hits an edge exactly is
+        placed after it for side=+1 (fraction 0) and before it for side=-1
+        (fraction 1), consistent with the edge times jump_times() advertises.
+        """
+        u = per_period * (t / self.period + self.phase_cycles)
+        k = np.floor(u)
         frac = u - k
         if side >= 0:
-            on_edge = t == self._edge_array(k + 1, 1)
-            k = np.where(on_edge, k + 1, k)
-            frac = np.where(on_edge, 0.0, frac)
-        else:
-            on_edge = t == self._edge_array(k, 1)
-            k = np.where(on_edge, k - 1, k)
-            frac = np.where(on_edge, 1.0, frac)
-        return k, frac
+            hit = t == self._edge(k + 1, per_period)
+            return np.where(hit, k + 1, k), np.where(hit, 0.0, frac)
+        hit = t == self._edge(k, per_period)
+        return np.where(hit, k - 1, k), np.where(hit, 1.0, frac)
 
-    def _edge_array(self, j, per_period):
-        return (j / per_period - self.phase_cycles) * self.period
-
-    def _tabulated_value(self, t):
-        times = np.array([k[0] for k in self.knots])
-        freqs = np.array([k[1] for k in self.knots])
+    def _knots(self, t):
+        """(knot times, knot frequencies); DriveError if t leaves their range."""
+        times, freqs = np.array(self.knots).T
         if np.any(t < times[0]) or np.any(t > times[-1]):
             raise DriveError("tabulated drive evaluated outside the knot range")
-        return np.interp(t, times, freqs)
-
-    def _tabulated_slope(self, t, side):
-        times = np.array([k[0] for k in self.knots])
-        freqs = np.array([k[1] for k in self.knots])
-        if np.any(t < times[0]) or np.any(t > times[-1]):
-            raise DriveError("tabulated drive evaluated outside the knot range")
-        seg = np.searchsorted(times, t, side="right" if side >= 0 else "left") - 1
-        seg = np.clip(seg, 0, len(times) - 2)
-        return (freqs[seg + 1] - freqs[seg]) / (times[seg + 1] - times[seg])
+        return times, freqs
 
     def _check_positive_on_grid(self):
         # dense sweep plus all breakpoints; parametric kinds are also covered
@@ -322,17 +300,12 @@ class SimulationGrid:
     t_start, t_end : integration span, units of 1/omega_bar
     dt_max         : maximum integrator step (np.inf = let the stepper choose)
     n_samples      : number of equally spaced output samples, >= 2
-    relax_periods  : accepted and round-tripped so that existing
-                     configurations and their config_sha256 stay valid;
-                     nothing reads it, since the periodic state is found by
-                     one-period shooting without a relaxation pre-run
     """
 
     t_start: float = 0.0
     t_end: float = 100.0
     dt_max: float = math.inf
     n_samples: int = 1001
-    relax_periods: int | None = None
 
     def __post_init__(self):
         if not self.t_end > self.t_start:
@@ -341,8 +314,6 @@ class SimulationGrid:
             raise ConfigError("grid requires dt_max > 0")
         if self.n_samples < 2:
             raise ConfigError("grid requires n_samples >= 2")
-        if self.relax_periods is not None and self.relax_periods <= 0:
-            raise ConfigError("relax_periods must be positive when given")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
@@ -357,7 +328,7 @@ class Config:
 
 _SYSTEM_KEYS = {"omega_bar", "gamma", "T_e"}
 _DRIVE_KEYS = {"kind", "amplitude", "period", "phase", "knots"}
-_GRID_KEYS = {"t_start", "t_end", "dt_max", "n_samples", "relax_periods"}
+_GRID_KEYS = {"t_start", "t_end", "dt_max", "n_samples"}
 
 
 def _reject_unknown(section: str, given: dict, allowed: set):
@@ -416,7 +387,6 @@ def config_to_dict(config: Config) -> dict:
             "t_end": config.grid.t_end,
             "dt_max": config.grid.dt_max if math.isfinite(config.grid.dt_max) else None,
             "n_samples": config.grid.n_samples,
-            "relax_periods": config.grid.relax_periods,
         },
     }
 

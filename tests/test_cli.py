@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from driven_resonator import dynamics
+from driven_resonator import counting, dynamics
 from driven_resonator.cli import main
 from driven_resonator.model import config_from_dict
 
@@ -20,7 +20,6 @@ def fast_config(**overrides):
             "t_end": TAU,
             "dt_max": None,
             "n_samples": 201,
-            "relax_periods": 2,
         },
     }
     for section, values in overrides.items():
@@ -132,8 +131,7 @@ def test_cumulants_csv_columns(tmp_path):
 
 def test_lr_cumulants_includes_predictions(tmp_path):
     cfg = write_config(tmp_path, fast_config(system={"T_e": 4.0, "gamma": 0.1},
-                                             drive={"amplitude": 0.01},
-                                             grid={"relax_periods": 3}))
+                                             drive={"amplitude": 0.01}))
     code = main(["lr-cumulants", "--params", str(cfg), "--out", str(tmp_path), "--order", "2"])
     assert code == 0
     header, rows = read_rows(tmp_path / "lr_cumulants.csv")
@@ -216,3 +214,88 @@ def test_manifests_report_periodicity_certificate(tmp_path):
         for diag in diags:
             assert 0.0 <= diag["periodicity_certificate"] < tol
             assert diag["epoch"] == 0.0
+
+
+def test_automatic_counting_time_solves_the_periodic_state_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dynamics.relax_to_periodic(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "relax_to_periodic", counted)
+    doc = fast_config(system={"T_e": 1.0}, drive={"period": 10.0})
+    cfg = write_config(tmp_path, doc)
+    assert main(["distribution", "--params", str(cfg), "--out", str(tmp_path), "--m-max", "40"]) == 0
+    assert len(calls) == 1
+
+
+def test_automatic_counting_time_needs_a_periodic_drive(tmp_path, capsys):
+    for kind, extra in [("constant", {"amplitude": 0.0, "period": 0.0}),
+                        ("tabulated", {"amplitude": 0.0, "period": 0.0, "knots": TABULATED_KNOTS})]:
+        doc = fast_config(drive={"kind": kind, **extra},
+                          grid={"t_start": 10.0, "t_end": 110.0, "n_samples": 401})
+        cfg = write_config(tmp_path, doc, name=f"{kind}.json")
+        assert main(["distribution", "--params", str(cfg), "--out", str(tmp_path)]) == 2
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"]["type"] == "config"
+        assert "--at-time" in report["error"]["message"]
+
+
+# -- contract matrix: every input exits 0, 2 or 3, never with a traceback -----
+
+MATRIX_PERIOD = 10.0
+MATRIX_DRIVES = {
+    "constant": {"kind": "constant", "amplitude": 0.0, "period": 0.0},
+    "square": {"kind": "square", "amplitude": 0.2, "period": MATRIX_PERIOD},
+    "sawtooth": {"kind": "sawtooth", "amplitude": 0.2, "period": MATRIX_PERIOD, "phase": 0.4},
+    "harmonic": {"kind": "harmonic", "amplitude": 0.2, "period": MATRIX_PERIOD},
+    "tabulated": {"kind": "tabulated", "amplitude": 0.0, "period": 0.0,
+                  "knots": [[0.0, 1.0], [5.0, 1.2], [12.0, 0.9], [20.0, 1.0]]},
+}
+MATRIX_ARGS = {
+    "temperature": [],
+    "thermo": [],
+    "linear-response": [],
+    "cumulants": ["--order", "3"],
+    "lr-cumulants": ["--order", "2"],
+    "distribution": ["--m-max", "40"],
+}
+
+
+def run_contract(argv, capsys):
+    """Exit code of main(argv); a nonzero exit must come with a JSON error."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code:
+        report = json.loads(err)
+        assert report["error"]["type"] in ("config", "usage", "numerical")
+        assert report["error"]["message"]
+    return code
+
+
+@pytest.mark.parametrize("kind", sorted(MATRIX_DRIVES))
+@pytest.mark.parametrize("subcommand", sorted(MATRIX_ARGS))
+def test_cli_contract_matrix(tmp_path, capsys, subcommand, kind):
+    doc = fast_config(system={"gamma": 0.3, "T_e": 1.0}, drive=MATRIX_DRIVES[kind],
+                      grid={"t_end": 20.0, "n_samples": 41})
+    cfg = write_config(tmp_path, doc)
+    run_contract([subcommand, "--params", str(cfg), "--out", str(tmp_path), *MATRIX_ARGS[subcommand]],
+                 capsys)
+
+
+@pytest.mark.parametrize("argv", [["temperature", "--bogus"],
+                                  ["cumulants", "--order", "two"],
+                                  ["cumulants", "--order", "0"],
+                                  ["lr-cumulants", "--order", "9"],
+                                  ["no-such-subcommand"]])
+def test_bad_command_lines_fail_by_contract(tmp_path, capsys, argv):
+    assert run_contract(argv + ["--out", str(tmp_path)], capsys) == 2
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driven_resonator.model import (
+    DRIVE_KINDS,
     ConfigError,
     DriveError,
     DriveWaveform,
@@ -177,6 +178,46 @@ def test_tabulated_validation():
         DriveWaveform(kind="tabulated", omega_bar=1.0, knots=((0.0, 1.0), (1.0, -2.0)))
 
 
+@st.composite
+def drives(draw):
+    kind = draw(st.sampled_from(DRIVE_KINDS))
+    if kind == "constant":
+        return DriveWaveform(kind=kind, omega_bar=1.0)
+    if kind == "tabulated":
+        steps = draw(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6))
+        times = draw(st.floats(-50.0, 50.0)) + np.cumsum([0.0] + steps)
+        freqs = draw(st.lists(st.floats(0.1, 3.0), min_size=times.size, max_size=times.size))
+        return DriveWaveform(kind=kind, omega_bar=1.0, knots=tuple(zip(times, freqs)))
+    return DriveWaveform(
+        kind=kind,
+        omega_bar=1.0,
+        amplitude=draw(st.floats(-0.9, 0.9)),
+        period=draw(st.floats(0.5, 200.0)),
+        phase=draw(st.floats(-10.0, 10.0)),
+    )
+
+
+@given(drive=drives(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_float_time_gives_the_bits_of_the_array_evaluation(drive, data):
+    if drive.kind == "tabulated":
+        lo, hi = drive.knots[0][0], drive.knots[-1][0]
+    else:
+        span = drive.period if drive.is_periodic else 50.0
+        lo, hi = -2.0 * span, 3.0 * span
+    drawn = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=10))
+    # exact jump edges and every knot, the last one included
+    times = np.concatenate([drawn, drive.breakpoints(lo, hi), [hi]])
+    for side in (+1, -1):
+        for method in (drive.omega, drive.slope):
+            values = method(times, side)
+            assert isinstance(values, np.ndarray) and values.shape == times.shape
+            for t, expected in zip(times, values):
+                value = method(float(t), side)
+                assert isinstance(value, float)
+                assert np.float64(value).tobytes() == expected.tobytes(), (t, side, method)
+
+
 def test_phase_offset_shifts_square_edges():
     d = DriveWaveform(kind="square", omega_bar=1.0, amplitude=0.5, period=TAU, phase=np.pi / 2)
     jumps = d.jump_times(0.0, TAU)
@@ -204,7 +245,6 @@ def _doc(kind="harmonic", **drive_extra):
             "t_end": 100.0,
             "dt_max": None,
             "n_samples": 201,
-            "relax_periods": None,
         },
     }
 
@@ -220,6 +260,10 @@ def test_unknown_keys_are_hard_errors():
         config_from_dict(bad)
     bad = _doc()
     bad["grid"]["steps"] = 10
+    with pytest.raises(ConfigError):
+        config_from_dict(bad)
+    bad = _doc()
+    bad["grid"]["relax_periods"] = 2  # read by nothing, so no longer accepted
     with pytest.raises(ConfigError):
         config_from_dict(bad)
 
