@@ -7,7 +7,7 @@ subdirectories of the chosen output root. Any external plotting tool can
 be pointed at the resulting CSVs.
 
 Usage:
-    python scripts/make_figure_data.py [--out data] [--skip-oracle]
+    python scripts/make_figure_data.py [--out data]
 """
 
 import argparse
@@ -30,14 +30,9 @@ RUNS = [
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="data", help="output root directory")
-    parser.add_argument(
-        "--skip-oracle", action="store_true", help="skip the slow cross-method verification"
-    )
     args = parser.parse_args()
 
     for subcommand, extra in RUNS:
-        if args.skip_oracle and subcommand == "verify-oracle":
-            continue
         outdir = f"{args.out}/{subcommand.replace('-', '_')}"
         print(f"== {subcommand} -> {outdir}")
         t0 = time.monotonic()

@@ -205,6 +205,8 @@ def cmd_temperature(config: Config, outdir: Path, args) -> tuple[list[str], dict
 
 def cmd_thermo(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
     base = config.drive
+    if base.kind == "constant":
+        raise ConfigError(f"thermo needs a periodic or tabulated drive, not {base.kind!r}")
     kinds = (base.kind,) if base.kind == "tabulated" else ("square", "sawtooth", "harmonic")
     return _thermo_kinds(config, outdir, {kind: f"thermo_{kind}" for kind in kinds})
 
@@ -346,9 +348,7 @@ def cmd_distribution(config: Config, outdir: Path, args) -> tuple[list[str], dic
 
 
 def cmd_verify_oracle(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
-    outcomes = verify.run_verification(
-        include_driven=not args.quick, params=config.system, drive=config.drive
-    )
+    outcomes = verify.run_verification(params=config.system, drive=config.drive)
     width = max(len(o.name) for o in outcomes)
     failures = 0
     for o in outcomes:
@@ -409,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "distribution":
             p.add_argument("--at-time", type=float, default=None, help="counting duration")
             p.add_argument("--m-max", type=int, default=120, help="half-width of the m window")
-        if name == "verify-oracle":
-            p.add_argument("--quick", action="store_true", help="skip the driven cross-method case")
     return parser
 
 

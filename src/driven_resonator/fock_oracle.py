@@ -2,30 +2,36 @@
 
 Everything else in this package reduces the open-system dynamics to a few
 scalar ODEs by exploiting the thermal form of the state. This module does
-not: it evolves the full density matrix (vectorized over the truncated
-number basis) under the complete generator
+not. Its reference is the complete tilted generator on density matrices
 
     L(s) rho = -i omega [N, rho]
              + gamma (1 + n_B) (e^s  a rho a+ - {a+ a, rho}/2)
              + gamma n_B       (e^-s a+ rho a - {a a+, rho}/2)
 
 with the counting-field weights e^{+-s} attached to the emission and
-absorption jump terms, and it also evolves the transfer-resolved ladder of
-density matrices rho(m) coupled by those jumps. Agreement between the
-scalar reduction and these two routes certifies the reduction.
+absorption jump terms, built as a dense matrix by build_tilted_generator.
+L(s) is phase covariant: it maps diagonal matrices to diagonal matrices,
+and on them the commutator term vanishes. Every state evolved here starts
+diagonal (thermal or periodic), so the integrators evolve only the level
+populations p_j, under the tridiagonal population generator
 
-The generator is exposed both as a dense matrix on vectorized states (for
-small problems and structural tests) and as a matrix-free action used by
-the integrators; the two are tied together by tests. Dense storage is
-capped at a truncation of 80 levels - this is a desk-scale verification
-engine, not a production solver.
+    dp_j/dt = gamma (1 + n_B) (e^s  (j+1) p_{j+1} - j p_j)
+            + gamma n_B       (e^-s j p_{j-1}     - q_j p_j),
+
+with q_j = j + 1 below the top level and q_{n_max} = 0. The same generator
+drives the tilted evolution on a counting-field grid, the
+transfer-resolved ladder of populations p(m) coupled by the jumps, and the
+periodic-state solve. Agreement between the scalar reduction and these
+routes certifies the reduction; the routes assume diagonal states, not the
+thermal (geometric) form the scalar route rests on. Tests tie the
+population generator to the dense one. The truncation is capped at 80
+levels - this is a desk-scale verification engine, not a production solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +57,8 @@ N_MAX_CAP = 80
 ORACLE_RTOL = 1e-10
 ORACLE_ATOL = 1e-10
 TOP_LEVEL_TOL = 1e-8
+# max-norm periodicity certificate on the populations of the periodic state
+PERIODIC_TOL = 1e-7
 
 
 class TruncationError(RuntimeError):
@@ -68,27 +76,12 @@ def _check_cap(n_max: int):
         raise ValueError(f"n_max capped at {N_MAX_CAP} for dense verification")
 
 
-@lru_cache(maxsize=8)
-def _tables(n_max: int):
-    j = np.arange(n_max + 1)
-    diff = (j[:, None] - j[None, :]).astype(float)
-    ssum = (j[:, None] + j[None, :]).astype(float)
-    # truncated a a+ is diag(1, ..., n_max, 0): the top level loses its
-    # absorption loss term exactly as it has no absorption gain, which keeps
-    # the truncated generator exactly trace-preserving
-    q = (j + 1.0).astype(float)
-    q[n_max] = 0.0
-    qsum = q[:, None] + q[None, :]
-    w = np.sqrt(np.outer(j[1:], j[1:]))  # sqrt(j*k) for j,k >= 1
-    return diff, ssum, qsum, w
-
-
 def thermal_state(n_occ: float, n_max: int) -> np.ndarray:
-    """Thermal density matrix with mean occupation n_occ, truncated at n_max.
+    """Populations of the thermal state with mean occupation n_occ.
 
-    Diagonal with geometric populations proportional to (n/(1+n))**k,
-    renormalized over the retained levels. Rejected if the truncation would
-    hold visible probability at the top level.
+    Geometric populations proportional to (n/(1+n))**k over the levels
+    0..n_max, renormalized. Rejected if the truncation would hold visible
+    probability at the top level.
     """
     _check_cap(n_max)
     if n_occ < 0.0:
@@ -99,39 +92,39 @@ def thermal_state(n_occ: float, n_max: int) -> np.ndarray:
             f"(n/(1+n))^n_max = {q**n_max:.2e} > {TOP_LEVEL_TOL}; raise n_max"
         )
     pops = q ** np.arange(n_max + 1)
-    pops /= pops.sum()
-    return np.diag(pops).astype(complex)
+    return pops / pops.sum()
 
 
-def apply_tilted_generator(rho: np.ndarray, omega: float, n_b: float, gamma: float,
-                           tilt_emit=1.0, tilt_absorb=1.0) -> np.ndarray:
-    """Action of the tilted generator on one or a stack of density matrices.
+def apply_tilted_generator(p: np.ndarray, n_b: float, gamma: float):
+    """The tilted generator on populations, split by counted jump.
 
-    rho has shape (..., n+1, n+1); tilt_emit/tilt_absorb are e^s and e^-s and
-    may broadcast over the leading axes. tilt = 1 gives the plain generator.
+    p has shape (..., n_max + 1). Returns (stay, emitted, absorbed), each of
+    p's shape, with L(s) p = stay + e^s emitted + e^-s absorbed: emitted is
+    the flux into each level from the one above (a rho a+), absorbed the
+    flux from the one below (a+ rho a), and stay the loss of each level.
     """
-    n_max = rho.shape[-1] - 1
-    diff, ssum, qsum, w = _tables(n_max)
-    emit = gamma * (1.0 + n_b)
-    absorb = gamma * n_b
-    te = np.asarray(tilt_emit)
-    ta = np.asarray(tilt_absorb)
-    if te.ndim:
-        te = te[..., None, None]
-    if ta.ndim:
-        ta = ta[..., None, None]
-    out = (-1j * omega) * diff * rho
-    out -= ((0.5 * emit) * ssum + (0.5 * absorb) * qsum) * rho
-    out[..., :-1, :-1] += emit * te * (w * rho[..., 1:, 1:])   # a rho a+
-    out[..., 1:, 1:] += absorb * ta * (w * rho[..., :-1, :-1])  # a+ rho a
-    return out
+    j = np.arange(1.0, p.shape[-1])
+    down = gamma * (1.0 + n_b) * j * p[..., 1:]  # emission, level j -> j - 1
+    up = gamma * n_b * j * p[..., :-1]           # absorption, level j - 1 -> j
+    stay = np.zeros_like(p)
+    emitted = np.zeros_like(p)
+    absorbed = np.zeros_like(p)
+    # truncated a a+ is diag(1, ..., n_max, 0): the top level loses nothing
+    # to absorption, as it gains nothing from it, which keeps the truncated
+    # generator exactly trace-preserving
+    stay[..., 1:] -= down
+    stay[..., :-1] -= up
+    emitted[..., :-1] = down
+    absorbed[..., 1:] = up
+    return stay, emitted, absorbed
 
 
 def build_tilted_generator(s, omega: float, params: SystemParams, n_max: int) -> np.ndarray:
     """Dense tilted generator on row-major vectorized density matrices.
 
-    At s = 0 this is the plain dissipative generator; the left trace
-    functional annihilates it there (trace preservation).
+    The full-matrix reference for the population generator. At s = 0 this
+    is the plain dissipative generator; the left trace functional
+    annihilates it there (trace preservation).
     """
     _check_cap(n_max)
     dim = n_max + 1
@@ -170,7 +163,7 @@ class FockTraceSeries:
     s: np.ndarray
     trace: np.ndarray         # shape (len(t), len(s)), complex
     occupation: np.ndarray    # number-weighted trace tr(a+ a rho), same shape
-    final_states: np.ndarray  # shape (len(s), dim, dim)
+    final_states: np.ndarray  # populations, shape (len(s), dim)
 
 
 @dataclass(frozen=True)
@@ -180,19 +173,45 @@ class MResolvedSeries:
     t: np.ndarray
     m: np.ndarray
     p: np.ndarray             # shape (len(t), 2*m_window+1)
-    final_states: np.ndarray  # shape (2*m_window+1, dim, dim)
+    final_states: np.ndarray  # populations, shape (2*m_window+1, dim)
 
 
-def _drive_scalars(drive: DriveWaveform, T_e: float):
-    def at(t, side):
-        w = drive.omega(t, side)
-        return w, 1.0 / math.expm1(w / T_e)
+def _tilted(tilt_emit, tilt_absorb):
+    def combine(stay, emitted, absorbed):
+        return stay + tilt_emit * emitted + tilt_absorb * absorbed
 
-    return at
+    return combine
+
+
+def _integrate(combine, y0, params, drive, t_span, t_eval, rtol, atol):
+    """Evolve a stack of populations y0 (levels on the last axis) under
+    dy/dt = combine(*apply_tilted_generator(y, n_B(t), gamma)).
+
+    Returns (sample times, samples, final state), the stack's shape kept.
+    """
+    _check_cap(y0.shape[-1] - 1)
+    gamma, T_e = params.gamma, params.T_e
+    shape = y0.shape
+
+    def rhs(t, y, side):
+        n_b = 1.0 / math.expm1(drive.omega(t, side) / T_e)
+        return combine(*apply_tilted_generator(y.reshape(shape), n_b, gamma)).ravel()
+
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    res = integrate_segmented(
+        rhs,
+        (t0, t1),
+        y0.ravel(),
+        breakpoints=drive.breakpoints(t0, t1),
+        t_eval=t_eval,
+        rtol=rtol,
+        atol=atol,
+    )
+    return res.t, res.y.reshape(len(res.t), *shape), res.y_final.reshape(shape)
 
 
 def evolve_fock(
-    rho0: np.ndarray,
+    p0: np.ndarray,
     params: SystemParams,
     drive: DriveWaveform,
     s,
@@ -201,65 +220,43 @@ def evolve_fock(
     *,
     rtol: float = ORACLE_RTOL,
     atol: float = ORACLE_ATOL,
-    check_truncation: bool = True,
 ) -> FockTraceSeries:
-    """Evolve vectorized density matrices under the tilted generator.
+    """Evolve the populations p0 under the tilted generator.
 
-    s may be a scalar or 1-D array; one copy of rho0 is propagated per value,
+    s may be a scalar or 1-D array; one copy of p0 is propagated per value,
     all sharing the integrator's adaptive steps (the runs are independent, so
     shared stepping cannot couple them). Truncation health is checked at all
     sample times: the top-level population must stay below TOP_LEVEL_TOL
     relative to the trace scale.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    dim = rho0.shape[-1]
-    _check_cap(dim - 1)
-    tilts_e = np.exp(s_arr)
-    tilts_a = np.exp(-s_arr)
-    gamma, T_e = params.gamma, params.T_e
-    scalars = _drive_scalars(drive, T_e)
-    shape = (s_arr.size, dim, dim)
-
-    def rhs(t, y, side):
-        w, n_b = scalars(t, side)
-        rho = y.reshape(shape)
-        return apply_tilted_generator(rho, w, n_b, gamma, tilts_e, tilts_a).ravel()
-
-    y0 = np.broadcast_to(rho0.astype(complex), shape).ravel().copy()
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t_eval is None:
-        t_eval = np.array([t0, t1])
-    res = integrate_segmented(
-        rhs,
-        (t0, t1),
-        y0,
-        breakpoints=drive.breakpoints(t0, t1),
-        t_eval=np.asarray(t_eval, dtype=float),
-        rtol=rtol,
-        atol=atol,
-    )
-    states = res.y.reshape(len(res.t), *shape)
-    traces = np.einsum("tsii->ts", states)
-    levels = np.arange(dim)
-    occupation = np.einsum("tsii,i->ts", states, levels)
-    if check_truncation:
-        top = np.abs(states[:, :, dim - 1, dim - 1])
-        scale = np.maximum(1.0, np.abs(traces))
-        if np.any(top > TOP_LEVEL_TOL * scale):
-            raise TruncationError(
-                f"top Fock level reached {np.max(top / scale):.2e}; raise n_max"
-            )
+    shape = (s_arr.size, p0.shape[-1])
+    y0 = np.broadcast_to(p0, shape).astype(complex)
+    combine = _tilted(np.exp(s_arr)[:, None], np.exp(-s_arr)[:, None])
+    t, states, final = _integrate(combine, y0, params, drive, t_span, t_eval, rtol, atol)
+    traces = states.sum(axis=-1)
+    top = np.abs(states[..., -1])
+    scale = np.maximum(1.0, np.abs(traces))
+    if np.any(top > TOP_LEVEL_TOL * scale):
+        raise TruncationError(f"top Fock level reached {np.max(top / scale):.2e}; raise n_max")
     return FockTraceSeries(
-        t=res.t,
+        t=t,
         s=s_arr,
         trace=traces,
-        occupation=occupation,
-        final_states=res.y_final.reshape(shape),
+        occupation=states @ np.arange(shape[1]),
+        final_states=final,
     )
+
+
+def _ladder(stay, emitted, absorbed):
+    # an emission moves weight from slot m to m + 1, an absorption to m - 1
+    stay[1:] += emitted[:-1]
+    stay[:-1] += absorbed[1:]
+    return stay
 
 
 def m_resolved_evolve(
-    rho0: np.ndarray,
+    p0: np.ndarray,
     params: SystemParams,
     drive: DriveWaveform,
     m_window: int,
@@ -269,87 +266,55 @@ def m_resolved_evolve(
     rtol: float = ORACLE_RTOL,
     atol: float = ORACLE_ATOL,
 ) -> MResolvedSeries:
-    """Evolve the transfer-resolved ladder rho(m), m in [-m_window, m_window].
+    """Evolve the transfer-resolved ladder p(m), m in [-m_window, m_window].
 
     Counting starts at t_span[0] with all weight in m = 0. Emission feeds
-    rho(m) from rho(m-1), absorption from rho(m+1); the ladder edges must
-    stay unpopulated (leakage below TOP_LEVEL_TOL) or the run is rejected.
+    p(m) from p(m-1), absorption from p(m+1); the ladder edges must stay
+    unpopulated (leakage below TOP_LEVEL_TOL) or the run is rejected.
     """
     if m_window < 1:
         raise ValueError("m_window must be >= 1")
-    dim = rho0.shape[-1]
-    _check_cap(dim - 1)
-    n_slots = 2 * m_window + 1
-    diff, ssum, qsum, w = _tables(dim - 1)
-    gamma, T_e = params.gamma, params.T_e
-    scalars = _drive_scalars(drive, T_e)
-    shape = (n_slots, dim, dim)
-
-    def rhs(t, y, side):
-        w0, n_b = scalars(t, side)
-        emit = gamma * (1.0 + n_b)
-        absorb = gamma * n_b
-        rho = y.reshape(shape)
-        out = (-1j * w0) * diff * rho
-        out -= ((0.5 * emit) * ssum + (0.5 * absorb) * qsum) * rho
-        out[1:, :-1, :-1] += emit * (w * rho[:-1, 1:, 1:])
-        out[:-1, 1:, 1:] += absorb * (w * rho[1:, :-1, :-1])
-        return out.ravel()
-
-    y0 = np.zeros(shape, dtype=complex)
-    y0[m_window] = rho0
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t_eval is None:
-        t_eval = np.array([t0, t1])
-    res = integrate_segmented(
-        rhs,
-        (t0, t1),
-        y0.ravel(),
-        breakpoints=drive.breakpoints(t0, t1),
-        t_eval=np.asarray(t_eval, dtype=float),
-        rtol=rtol,
-        atol=atol,
-    )
-    states = res.y.reshape(len(res.t), *shape)
-    p = np.einsum("tmii->tm", states).real
+    y0 = np.zeros((2 * m_window + 1, p0.shape[-1]))
+    y0[m_window] = p0
+    t, states, final = _integrate(_ladder, y0, params, drive, t_span, t_eval, rtol, atol)
+    p = states.sum(axis=-1)
     if np.any(np.abs(p[:, 0]) > TOP_LEVEL_TOL) or np.any(np.abs(p[:, -1]) > TOP_LEVEL_TOL):
         raise LeakageError("probability reached the transfer-window edge; raise m_window")
-    return MResolvedSeries(
-        t=res.t,
-        m=np.arange(-m_window, m_window + 1),
-        p=p,
-        final_states=res.y_final.reshape(shape),
-    )
+    return MResolvedSeries(t=t, m=np.arange(-m_window, m_window + 1), p=p, final_states=final)
 
 
-def relax_fock_periodic(
-    params: SystemParams,
-    drive: DriveWaveform,
-    periods: int | None = None,
-    n_max: int = 40,
-    *,
-    certificate_tol: float = 1e-7,
-) -> tuple[float, np.ndarray]:
-    """Fock-space route to the periodic state: (epoch, density matrix).
+def relax_fock_periodic(params: SystemParams, drive: DriveWaveform, n_max: int = 40) -> np.ndarray:
+    """Fock-space route to the periodic state: its populations at t = 0.
 
-    Starts from reservoir equilibrium and evolves the plain (s = 0)
-    generator for a whole number of periods; certified by comparing the
-    state one further period later in the max norm.
+    The population equation is linear, so one drive period from cycle phase
+    zero maps p to Phi p exactly. Phi is built column by column, evolving
+    each basis population over one period, and the periodic state is its
+    unit-trace fixed point: (Phi - I) p = 0 with one row replaced by
+    sum(p) = 1 (Phi preserves the trace, so the rows of Phi - I are
+    dependent). The state is certified by evolving one more period from it:
+    the max-norm defect must stay below PERIODIC_TOL, and RuntimeError is
+    raised otherwise. Without dissipation (gamma = 0) Phi = I, every state
+    is periodic, and the reservoir-equilibrium populations are returned, as
+    dynamics.relax_to_periodic does.
     """
+    if params.gamma == 0.0:
+        return thermal_state(params.n_thermal, n_max)
     tau = drive.period
-    if periods is None:
-        periods = max(2, math.ceil(30.0 / max(params.gamma, 1e-12) / tau))
-    rho0 = thermal_state(params.n_thermal, n_max)
-    epoch = periods * tau
-    run = evolve_fock(rho0, params, drive, 0.0, (0.0, epoch), t_eval=[epoch])
-    rho_epoch = run.final_states[0]
-    again = evolve_fock(rho_epoch, params, drive, 0.0, (epoch, epoch + tau), t_eval=[epoch + tau])
-    defect = float(np.max(np.abs(again.final_states[0] - rho_epoch)))
-    if defect > certificate_tol:
+    dim = n_max + 1
+    # row k of the evolved stack is Phi applied to basis population k
+    _, _, phi_rows = _integrate(
+        _tilted(1.0, 1.0), np.eye(dim), params, drive, (0.0, tau), None, ORACLE_RTOL, ORACLE_ATOL
+    )
+    system = phi_rows.T - np.eye(dim)
+    system[-1] = 1.0
+    p = np.linalg.solve(system, np.eye(dim)[-1])
+    again = evolve_fock(p, params, drive, 0.0, (0.0, tau))
+    defect = float(np.max(np.abs(again.final_states[0] - p)))
+    if not defect < PERIODIC_TOL:
         raise RuntimeError(
-            f"Fock periodic-state certificate {defect:.2e} above {certificate_tol:.1e}"
+            f"Fock periodic-state certificate {defect:.2e} above {PERIODIC_TOL:.1e}"
         )
-    return epoch, rho_epoch
+    return p
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

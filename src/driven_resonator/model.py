@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -234,7 +235,7 @@ class DriveWaveform:
         Superset of jump_times; tabulated knots appear here but not there.
         """
         if self.kind == "tabulated":
-            times = np.array([t for t, _ in self.knots])
+            times = self._knot_arrays[0]
             return times[(times >= t_start) & (times < t_end)]
         return self.jump_times(t_start, t_end)
 
@@ -270,9 +271,14 @@ class DriveWaveform:
         hit = t == self._edge(k, per_period)
         return np.where(hit, k - 1, k), np.where(hit, 1.0, frac)
 
+    @cached_property
+    def _knot_arrays(self):
+        """(knot times, knot frequencies) as arrays, built on first use."""
+        return tuple(np.array(self.knots).T)
+
     def _knots(self, t):
         """(knot times, knot frequencies); DriveError if t leaves their range."""
-        times, freqs = np.array(self.knots).T
+        times, freqs = self._knot_arrays
         if np.any(t < times[0]) or np.any(t > times[-1]):
             raise DriveError("tabulated drive evaluated outside the knot range")
         return times, freqs

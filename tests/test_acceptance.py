@@ -5,8 +5,8 @@ prints a single PASS/FAIL line with the measured figure of merit. Run with
 
     pytest tests/test_acceptance.py -v -s
 
-The cross-method case (criterion 6) is the slowest entry, well under its
-five-minute budget on a laptop; everything else is seconds.
+Every criterion takes seconds at most; the cross-method case (criterion 6)
+runs in about a second.
 """
 
 import math

@@ -168,6 +168,16 @@ def test_thermo_emits_all_three_drives(tmp_path):
     assert len(rows) == 2  # two jump events in one period
 
 
+def test_thermo_needs_a_periodic_or_tabulated_drive(tmp_path, capsys):
+    doc = fast_config(drive={"kind": "constant", "amplitude": 0.0, "period": 0.0})
+    cfg = write_config(tmp_path, doc)
+    assert main(["thermo", "--params", str(cfg), "--out", str(tmp_path)]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"]["type"] == "config"
+    assert "periodic or tabulated" in report["error"]["message"]
+    assert "'constant'" in report["error"]["message"]
+
+
 # knots at t = 40 and 80 lie inside the grid window [10, 110]; with 401
 # samples (dt = 0.25) both sit on even sample indices
 TABULATED_KNOTS = [[0.0, 1.0], [40.0, 1.3], [80.0, 0.8], [120.0, 1.0]]
@@ -289,7 +299,8 @@ def test_cli_contract_matrix(tmp_path, capsys, subcommand, kind):
                                   ["cumulants", "--order", "two"],
                                   ["cumulants", "--order", "0"],
                                   ["lr-cumulants", "--order", "9"],
-                                  ["no-such-subcommand"]])
+                                  ["no-such-subcommand"],
+                                  ["verify-oracle", "--quick"]])
 def test_bad_command_lines_fail_by_contract(tmp_path, capsys, argv):
     assert run_contract(argv + ["--out", str(tmp_path)], capsys) == 2
 

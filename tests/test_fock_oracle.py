@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from driven_resonator import verify
+from driven_resonator import fock_oracle, verify
 from driven_resonator.counting import cumulant_trajectories, equilibrium_distribution
+from driven_resonator.dynamics import relax_to_periodic
 from driven_resonator.fock_oracle import (
     LeakageError,
     TruncationError,
@@ -12,6 +14,7 @@ from driven_resonator.fock_oracle import (
     build_tilted_generator,
     evolve_fock,
     m_resolved_evolve,
+    relax_fock_periodic,
     thermal_state,
     total_variation,
 )
@@ -25,23 +28,22 @@ X1 = SystemParams(omega_bar=1.0, gamma=0.1, T_e=1.0)
 
 
 def test_vacuum_thermal_state():
-    rho = thermal_state(0.0, 10)
-    assert rho[0, 0] == 1.0
-    assert np.count_nonzero(rho) == 1
+    pops = thermal_state(0.0, 10)
+    assert pops[0] == 1.0
+    assert np.count_nonzero(pops) == 1
 
 
 def test_unit_occupation_thermal_state():
-    rho = thermal_state(1.0, 60)
-    pops = np.real(np.diag(rho))
+    pops = thermal_state(1.0, 60)
     expect = 0.5 ** (np.arange(61) + 1.0)
     assert np.max(np.abs(pops - expect)) < 1e-12
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert pops.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_thermal_state_mean_occupation():
     n = bose_einstein(1.0, 1.0)  # 1/(e-1)
-    rho = thermal_state(n, 30)
-    mean = np.sum(np.arange(31) * np.real(np.diag(rho)))
+    pops = thermal_state(n, 30)
+    mean = np.arange(31) @ pops
     assert mean == pytest.approx(n, abs=1e-8)
 
 
@@ -53,17 +55,22 @@ def test_thermal_state_truncation_rejection():
 # -- generator structure -------------------------------------------------------------
 
 
-def test_dense_generator_matches_matrix_free_action():
+def test_population_generator_is_the_diagonal_of_the_dense_generator():
+    # phase covariance: the dense generator maps diag(p) to a diagonal image,
+    # whose diagonal is the population generator's L(s) p
     rng = np.random.default_rng(3)
     n_max = 9
-    rho = rng.normal(size=(2, n_max + 1, n_max + 1)) + 1j * rng.normal(size=(2, n_max + 1, n_max + 1))
-    for s in (0.0, 0.4, -0.2, 0.1 + 0.7j):
-        gen = build_tilted_generator(s, 0.85, X1, n_max)
-        n_b = bose_einstein(0.85, X1.T_e)
-        fast = apply_tilted_generator(rho, 0.85, n_b, X1.gamma, np.exp(s), np.exp(-s))
-        for k in range(2):
-            dense = (gen @ rho[k].reshape(-1)).reshape(n_max + 1, n_max + 1)
-            assert np.max(np.abs(dense - fast[k])) < 1e-12
+    pops = rng.normal(size=(2, n_max + 1)) + 1j * rng.normal(size=(2, n_max + 1))
+    for omega in (0.7, 0.85, 1.3):
+        n_b = bose_einstein(omega, X1.T_e)
+        stay, emitted, absorbed = apply_tilted_generator(pops, n_b, X1.gamma)
+        for s in (0.0, 0.4, -0.2, 0.1 + 0.7j, 1j * np.pi / 3):
+            gen = build_tilted_generator(s, omega, X1, n_max)
+            fast = stay + np.exp(s) * emitted + np.exp(-s) * absorbed
+            for k in range(2):
+                image = (gen @ np.diag(pops[k]).reshape(-1)).reshape(n_max + 1, n_max + 1)
+                assert np.max(np.abs(np.diag(image) - fast[k])) < 1e-12
+                assert np.count_nonzero(image - np.diag(np.diag(image))) == 0
 
 
 def test_trace_functional_annihilates_plain_generator():
@@ -76,18 +83,20 @@ def test_trace_functional_annihilates_plain_generator():
 def test_equilibrium_state_is_stationary():
     n_max = 30
     gen = build_tilted_generator(0.0, 1.0, X1, n_max)
-    rho = thermal_state(X1.n_thermal, n_max)
+    rho = np.diag(thermal_state(X1.n_thermal, n_max))
     assert np.max(np.abs(gen @ rho.reshape(-1))) < 1e-10
 
 
 def test_zero_coupling_preserves_trace_for_any_tilt():
+    # without coupling only the commutator acts, on coherences too, and the
+    # trace functional annihilates it whatever the tilt
     params = SystemParams(omega_bar=1.0, gamma=0.0, T_e=1.0)
-    drive = DriveWaveform(kind="constant", omega_bar=1.0)
-    rho = thermal_state(0.4, 20)
-    rho[2, 5] = 0.1  # off-diagonal content so the commutator acts
-    rho[5, 2] = 0.1
-    run = evolve_fock(rho, params, drive, 0.7, (0.0, 25.0), t_eval=np.linspace(0.0, 25.0, 11))
-    assert np.max(np.abs(run.trace - run.trace[0])) < 1e-9
+    n_max = 20
+    trace = np.eye(n_max + 1).reshape(-1)
+    for s in (0.7, -0.3, 0.5j, 0.2 - 1.1j):
+        for omega in (0.8, 1.0):
+            gen = build_tilted_generator(s, omega, params, n_max)
+            assert np.max(np.abs(trace @ gen)) < 1e-12
 
 
 def test_population_equation_is_the_first_moment():
@@ -118,16 +127,15 @@ def test_dimension_cap_enforced():
 def test_truncation_health_monitor_rejects_tight_spaces():
     params = SystemParams(omega_bar=1.0, gamma=0.2, T_e=3.0)  # n ~ 2.8
     drive = DriveWaveform(kind="constant", omega_bar=1.0)
-    rho = thermal_state(0.0, 6)
-    rho[0, 0] = 1.0
+    vacuum = thermal_state(0.0, 6)
     with pytest.raises(TruncationError):
-        evolve_fock(rho, params, drive, 0.0, (0.0, 60.0), t_eval=[60.0])
+        evolve_fock(vacuum, params, drive, 0.0, (0.0, 60.0), t_eval=[60.0])
 
 
 def test_m_resolved_counting_starts_at_zero():
     drive = DriveWaveform(kind="constant", omega_bar=1.0)
-    rho = thermal_state(X1.n_thermal, 25)
-    run = m_resolved_evolve(rho, X1, drive, 8, (0.0, 1.0), t_eval=[0.0, 1.0])
+    p0 = thermal_state(X1.n_thermal, 25)
+    run = m_resolved_evolve(p0, X1, drive, 8, (0.0, 1.0), t_eval=[0.0, 1.0])
     assert run.p[0, 8] == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(np.delete(run.p[0], 8))) < 1e-14
     assert run.p[1].sum() == pytest.approx(1.0, abs=1e-8)
@@ -135,26 +143,26 @@ def test_m_resolved_counting_starts_at_zero():
 
 def test_m_resolved_reaches_equilibrium_distribution():
     drive = DriveWaveform(kind="constant", omega_bar=1.0)
-    rho = thermal_state(X1.n_thermal, 30)
-    run = m_resolved_evolve(rho, X1, drive, 25, (0.0, 300.0), t_eval=[300.0])
+    p0 = thermal_state(X1.n_thermal, 30)
+    run = m_resolved_evolve(p0, X1, drive, 25, (0.0, 300.0), t_eval=[300.0])
     target = equilibrium_distribution(X1.x, run.m)
     assert total_variation(run.p[-1], target) < 1e-5
 
 
 def test_m_resolved_marginal_matches_plain_evolution():
     drive = harmonic_drive(0.3)
-    rho = thermal_state(X1.n_thermal, 25)
+    p0 = thermal_state(X1.n_thermal, 25)
     t_eval = [0.5 * TAU, TAU]
-    ladder = m_resolved_evolve(rho, X1, drive, 30, (0.0, TAU), t_eval=t_eval)
-    plain = evolve_fock(rho, X1, drive, 0.0, (0.0, TAU), t_eval=t_eval)
+    ladder = m_resolved_evolve(p0, X1, drive, 30, (0.0, TAU), t_eval=t_eval)
+    plain = evolve_fock(p0, X1, drive, 0.0, (0.0, TAU), t_eval=t_eval)
     summed = ladder.final_states.sum(axis=0)
     assert np.max(np.abs(summed - plain.final_states[0])) < 1e-8
 
 
 def test_m_resolved_moment_bridge():
     drive = harmonic_drive(0.3)
-    rho = thermal_state(X1.n_thermal, 30)
-    ladder = m_resolved_evolve(rho, X1, drive, 30, (0.0, TAU), t_eval=[TAU])
+    p0 = thermal_state(X1.n_thermal, 30)
+    ladder = m_resolved_evolve(p0, X1, drive, 30, (0.0, TAU), t_eval=[TAU])
     grid = SimulationGrid(0.0, TAU, n_samples=2)
     jets = cumulant_trajectories(1, X1, drive, grid, n_init=X1.n_thermal)
     mean_oracle = float(ladder.m @ ladder.p[-1])
@@ -163,22 +171,60 @@ def test_m_resolved_moment_bridge():
 
 def test_window_leakage_is_rejected():
     drive = DriveWaveform(kind="constant", omega_bar=1.0)
-    rho = thermal_state(X1.n_thermal, 25)
+    p0 = thermal_state(X1.n_thermal, 25)
     with pytest.raises(LeakageError):
-        m_resolved_evolve(rho, X1, drive, 2, (0.0, 100.0), t_eval=[100.0])
+        m_resolved_evolve(p0, X1, drive, 2, (0.0, 100.0), t_eval=[100.0])
 
 
 def test_plain_evolution_keeps_state_physical():
-    # s = 0 on a coherence-carrying state: trace 1, Hermitian, positive
+    # s = 0 on a coherence-carrying state, stepped by exact exponentials of the
+    # dense generator at the drive's midpoint frequencies: trace 1, Hermitian,
+    # positive
     drive = harmonic_drive(0.3)
-    rho = thermal_state(X1.n_thermal, 25).copy()
+    n_max = 20
+    rho = np.diag(thermal_state(X1.n_thermal, n_max)).astype(complex)
     rho[1, 3] += 0.05
     rho[3, 1] += 0.05
-    run = evolve_fock(rho, X1, drive, 0.0, (0.0, 2 * TAU), t_eval=np.linspace(0.0, 2 * TAU, 9))
-    assert np.max(np.abs(run.trace - 1.0)) < 1e-9
-    final = run.final_states[0]
-    assert np.max(np.abs(final - final.conj().T)) < 1e-9
-    assert np.linalg.eigvalsh(final).min() > -1e-9
+    edges = np.linspace(0.0, 2 * TAU, 9)
+    vec = rho.reshape(-1)
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        gen = build_tilted_generator(0.0, drive.omega(0.5 * (t0 + t1)), X1, n_max)
+        vec = expm(gen * (t1 - t0)) @ vec
+        final = vec.reshape(n_max + 1, n_max + 1)
+        assert abs(np.trace(final) - 1.0) < 1e-9
+        assert np.max(np.abs(final - final.conj().T)) < 1e-9
+        assert np.linalg.eigvalsh(final).min() > -1e-9
+
+
+# -- periodic state ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.05, 0.01, 1e-3])
+@pytest.mark.parametrize("kind", ["harmonic", "square", "sawtooth"])
+def test_shooting_state_matches_brute_force_relaxation(kind, gamma):
+    params = SystemParams(omega_bar=1.0, gamma=gamma, T_e=1.0)
+    drive = DriveWaveform(kind=kind, omega_bar=1.0, amplitude=0.3, period=TAU)
+    p = relax_fock_periodic(params, drive)
+    # whole periods from reservoir equilibrium until the transient,
+    # exp(-gamma t) times an O(1) distance, is far below the tolerance
+    periods = math.ceil(25.0 / (gamma * TAU))
+    run = evolve_fock(thermal_state(params.n_thermal, 40), params, drive, 0.0, (0.0, periods * TAU))
+    assert np.max(np.abs(run.final_states[0] - p)) < 1e-8
+    scalar = relax_to_periodic(params, drive, SimulationGrid(0.0, TAU, n_samples=2))
+    assert np.arange(p.size) @ p == pytest.approx(scalar.start_occupation, abs=1e-8)
+
+
+def test_periodic_certificate_failure_raises(monkeypatch):
+    monkeypatch.setattr(fock_oracle, "PERIODIC_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="certificate"):
+        relax_fock_periodic(X1, harmonic_drive(0.3))
+
+
+def test_periodic_state_without_dissipation_is_thermal():
+    # gamma = 0: the one-period map is the identity and the solve is singular
+    params = SystemParams(omega_bar=1.0, gamma=0.0, T_e=1.0)
+    p = relax_fock_periodic(params, harmonic_drive(0.3), n_max=30)
+    assert np.array_equal(p, thermal_state(params.n_thermal, 30))
 
 
 # -- total variation -------------------------------------------------------------------
@@ -205,7 +251,7 @@ def test_total_variation_equilibrium_regression():
 # -- cross-method battery ----------------------------------------------------------------
 
 
-def test_verification_battery_quick():
-    outcomes = verify.run_verification(include_driven=False)
+def test_verification_battery():
+    outcomes = verify.run_verification()
     for outcome in outcomes:
         assert outcome.passed, f"{outcome.name}: {outcome.value:.3e} >= {outcome.threshold:.1e}"
