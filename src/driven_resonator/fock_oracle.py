@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import RK45
 
 from .model import DriveWaveform, SystemParams, bose_einstein
 from .stepping import integrate_segmented
@@ -206,6 +207,8 @@ def _integrate(combine, y0, params, drive, t_span, t_eval, rtol, atol):
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
+        # independent of the fast paths' DOP853, which at 1e-10 lifts the top level past TOP_LEVEL_TOL
+        method=RK45,
     )
     return res.t, res.y.reshape(len(res.t), *shape), res.y_final.reshape(shape)
 
@@ -295,10 +298,13 @@ def relax_fock_periodic(params: SystemParams, drive: DriveWaveform, n_max: int =
     the max-norm defect must stay below PERIODIC_TOL, and RuntimeError is
     raised otherwise. Without dissipation (gamma = 0) Phi = I, every state
     is periodic, and the reservoir-equilibrium populations are returned, as
-    dynamics.relax_to_periodic does.
+    dynamics.relax_to_periodic does. With dissipation the drive must be
+    periodic (ValueError otherwise).
     """
     if params.gamma == 0.0:
         return thermal_state(params.n_thermal, n_max)
+    if not drive.is_periodic:
+        raise ValueError(f"the Fock periodic state needs a periodic drive, not {drive.kind!r}")
     tau = drive.period
     dim = n_max + 1
     # row k of the evolved stack is Phi applied to basis population k

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from driven_resonator.counting import (
     CountingOverflowError,
@@ -56,6 +57,27 @@ def test_imaginary_field_conjugate_symmetry(hot_params):
     run = evolve_counting(s, hot_params, drive, (0.0, TAU), 2.0, t_eval=[0.5 * TAU, TAU])
     plus, minus = run.cgf[:, :3], run.cgf[:, 3:]
     assert np.max(np.abs(minus - np.conj(plus))) < 1e-10
+
+
+def test_constant_drive_matches_linear_fractional_closed_form(hot_params, constant_drive):
+    # n' = A n^2 + B n + D is Riccati; with n_s = p/q the pair is linear,
+    # (p, q)' = [[B, D], [-A, 0]] (p, q), and e^C = e^(absorb t) / q
+    gamma, n_b = hot_params.gamma, hot_params.n_thermal
+    n0, t = 0.4, 40.0
+    s = np.concatenate([
+        [-0.15, 0.1, 0.2],
+        1j * 2.0 * np.pi * np.arange(16) / 16,
+        [0.1 + 0.7j, -0.05 - 1.3j, 0.2 + 2.9j],
+    ])
+    run = evolve_counting(s, hot_params, constant_drive, (0.0, t), n0, t_eval=[t])
+    for k, sv in enumerate(s):
+        emit = gamma * np.expm1(sv) * (1.0 + n_b)
+        absorb = gamma * np.expm1(-sv) * n_b
+        generator = np.array([[2 * absorb - gamma, absorb + gamma * n_b], [-(emit + absorb), 0.0]])
+        p, q = expm(generator * t) @ [n0, 1.0]
+        mgf = np.exp(absorb * t) / q
+        assert abs(np.exp(run.cgf[-1, k]) - mgf) < 1e-10 * abs(mgf)
+        assert abs(run.occupation[-1, k] - p / q) < 1e-10 * abs(p / q)
 
 
 def test_shifted_occupation_is_a_fixed_point(hot_params, constant_drive):

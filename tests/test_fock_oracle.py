@@ -227,6 +227,23 @@ def test_periodic_state_without_dissipation_is_thermal():
     assert np.array_equal(p, thermal_state(params.n_thermal, 30))
 
 
+@pytest.mark.parametrize("drive", [
+    DriveWaveform(kind="constant", omega_bar=1.0),
+    DriveWaveform(kind="tabulated", omega_bar=1.0, knots=((0.0, 1.0), (50.0, 1.3), (100.0, 1.0))),
+], ids=["constant", "tabulated"])
+def test_periodic_state_needs_a_periodic_drive(drive, monkeypatch):
+    # refused by name before any integration, not deep inside the stepper
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(fock_oracle, "integrate_segmented", no_integration)
+    with pytest.raises(ValueError, match=f"periodic drive, not '{drive.kind}'"):
+        relax_fock_periodic(SystemParams(omega_bar=1.0, gamma=0.1, T_e=1.0), drive, n_max=20)
+    # without dissipation every state is periodic: the thermal populations
+    params = SystemParams(omega_bar=1.0, gamma=0.0, T_e=1.0)
+    assert np.array_equal(relax_fock_periodic(params, drive, n_max=20), thermal_state(params.n_thermal, 20))
+
+
 # -- total variation -------------------------------------------------------------------
 
 
