@@ -22,7 +22,7 @@ RUNS = [
     ("linear-response", []),
     ("cumulants", ["--order", "4"]),
     ("lr-cumulants", ["--order", "4"]),
-    ("distribution", ["--m-max", "160"]),
+    ("distribution", []),
     ("verify-oracle", []),
 ]
 

@@ -59,11 +59,9 @@ from .counting import (
     evolve_counting,
 )
 from .fock_oracle import (
-    LeakageError,
     TruncationError,
     build_tilted_generator,
     evolve_fock,
-    m_resolved_evolve,
     thermal_state,
     total_variation,
 )

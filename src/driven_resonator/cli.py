@@ -3,9 +3,10 @@
 Each subcommand loads a JSON configuration (or a built-in default that
 mirrors a standard parameter set), runs the corresponding computation, and
 writes CSV data files plus a JSON run manifest into the output directory.
-The manifest's ``diagnostics`` object records numerical health (for the
-periodic-state subcommands: the periodicity certificate and the epoch); it
-never enters the data files.
+The manifest's ``diagnostics`` object records numerical health (the
+periodicity certificate and epoch of the periodic-state subcommands; the
+window, its tail bound and mass defect of ``distribution``); it never
+enters the data files.
 
 The tool is fully deterministic: it uses no random numbers anywhere, and
 identical configurations produce byte-identical data files (floats are
@@ -32,7 +33,7 @@ import numpy as np
 from . import __version__, counting, dynamics, linear_response, verify
 from .counting import CountingOverflowError, DistributionError
 from .dynamics import PeriodicConvergenceError
-from .fock_oracle import LeakageError, TruncationError
+from .fock_oracle import TruncationError
 from .model import (
     Config,
     ConfigError,
@@ -331,7 +332,13 @@ def cmd_distribution(config: Config, outdir: Path, args) -> tuple[list[str], dic
             [np.array([0]), np.array([1.0])],
         )
         return ["distribution.csv"], {}
-    dist = counting.distribution(t_count, args.m_max, config.system, config.drive, grid, n_init=n0)
+    if t_count < 0.0:
+        raise ValueError("t_count must be non-negative")
+    t0, n0 = counting.counting_epoch(config.system, config.drive, grid, n0)
+    window = SimulationGrid(t_start=t0, t_end=t0 + t_count, n_samples=2)
+    n1 = float(dynamics.occupancy_trajectory(config.system, config.drive, window, n0).n[-1])
+    m_max = counting.automatic_window(n0, n1) if args.m_max is None else args.m_max
+    dist = counting.distribution(t_count, m_max, config.system, config.drive, window, n_init=n0)
     write_csv(
         outdir / "distribution.csv",
         f"m [-], p [-] after counting for t = {_fmt(t_count)} [1/omega_bar]",
@@ -344,7 +351,9 @@ def cmd_distribution(config: Config, outdir: Path, args) -> tuple[list[str], dic
         ["m", "p_eq"],
         [dist.m, counting.equilibrium_distribution(config.system.x, dist.m)],
     )
-    return ["distribution.csv", "distribution_equilibrium.csv"], {}
+    bound = counting.window_tail_bound(n0, n1, m_max)
+    diagnostics = {"m_max": m_max, "window_tail_bound": bound, "mass_defect": 1.0 - float(dist.p.sum())}
+    return ["distribution.csv", "distribution_equilibrium.csv"], diagnostics
 
 
 def cmd_verify_oracle(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
@@ -408,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", type=int, default=4, help="highest cumulant order")
         if name == "distribution":
             p.add_argument("--at-time", type=float, default=None, help="counting duration")
-            p.add_argument("--m-max", type=int, default=120, help="half-width of the m window")
+            p.add_argument("--m-max", type=int, default=None, help="m window (default: automatic)")
     return parser
 
 
@@ -437,7 +446,6 @@ def main(argv=None) -> int:
         CountingOverflowError,
         DistributionError,
         TruncationError,
-        LeakageError,
         RuntimeError,
     ) as exc:
         return _error("numerical", str(exc), 3)

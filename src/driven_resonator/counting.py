@@ -31,6 +31,7 @@ phase zero (times congruent to 0 modulo the period).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,6 +53,8 @@ __all__ = [
     "cumulant_jet_rhs",
     "cumulant_trajectories",
     "theta_grid_size",
+    "window_tail_bound",
+    "automatic_window",
     "distribution",
     "equilibrium_distribution",
     "counting_epoch",
@@ -62,6 +65,9 @@ REAL_CGF_BOUND = 700.0
 
 # highest cumulant order the jet propagation accepts
 JET_CAPACITY = 8
+
+# bound on the mass outside an automatically sized transfer window
+WINDOW_TAIL = 1e-9
 
 
 class CountingOverflowError(RuntimeError):
@@ -284,6 +290,17 @@ def cumulant_trajectories(
 def theta_grid_size(m_max: int) -> int:
     """Power-of-two grid comfortably oversampled against aliasing."""
     return 1 << max(1, int(math.ceil(math.log2(4 * (2 * m_max + 1)))))
+
+
+def window_tail_bound(n_start: float, n_end: float, m_max: int) -> float:
+    """Bound on P(|m| > m_max). The drive commutes with N, so m = N(0) - N(t),
+    and both are geometric, P(N > M) = q^(M+1) with q = n/(1+n)."""
+    return sum((n / (1.0 + n)) ** (m_max + 1) for n in (n_start, n_end))
+
+
+def automatic_window(n_start: float, n_end: float) -> int:
+    """Smallest m_max >= 1 whose window_tail_bound is at most WINDOW_TAIL."""
+    return next(m for m in itertools.count(1) if window_tail_bound(n_start, n_end, m) <= WINDOW_TAIL)
 
 
 def _invert_generating_function(m_values: np.ndarray, mgf: np.ndarray, t: float) -> PhotonDistribution:

@@ -19,13 +19,17 @@ populations p_j, under the tridiagonal population generator
             + gamma n_B       (e^-s j p_{j-1}     - q_j p_j),
 
 with q_j = j + 1 below the top level and q_{n_max} = 0. The same generator
-drives the tilted evolution on a counting-field grid, the
-transfer-resolved ladder of populations p(m) coupled by the jumps, and the
-periodic-state solve. Agreement between the scalar reduction and these
-routes certifies the reduction; the routes assume diagonal states, not the
-thermal (geometric) form the scalar route rests on. Tests tie the
-population generator to the dense one. The truncation is capped at 80
-levels - this is a desk-scale verification engine, not a production solver.
+drives the tilted evolution on a counting-field grid and, at s = 0, the
+population propagator Phi[j0, j] behind the periodic state and the
+two-point measurement of N: a jump moves the count m and the level in
+opposite directions, so p(m) = sum_{j0} p0[j0] Phi[j0, j0 - m] (Talkner,
+Lutz & Hanggi, PRE 75, 050102(R) (2007)), the transfer-resolved ladder of
+populations re-indexed (hence the battery's ``ladder`` names). Agreement
+between the scalar reduction and these routes certifies the reduction; the
+routes assume diagonal states, not the thermal (geometric) form the scalar
+route rests on. Tests tie the population generator to the dense one. The
+truncation is capped at 80 levels - this is a desk-scale verification
+engine, not a production solver.
 """
 
 from __future__ import annotations
@@ -41,17 +45,16 @@ from .stepping import integrate_segmented
 
 __all__ = [
     "TruncationError",
-    "LeakageError",
     "N_MAX_CAP",
     "thermal_state",
     "apply_tilted_generator",
     "build_tilted_generator",
     "evolve_fock",
-    "m_resolved_evolve",
+    "population_propagator",
     "relax_fock_periodic",
+    "transfer_distribution",
     "total_variation",
     "FockTraceSeries",
-    "MResolvedSeries",
 ]
 
 N_MAX_CAP = 80
@@ -64,10 +67,6 @@ PERIODIC_TOL = 1e-7
 
 class TruncationError(RuntimeError):
     """Raised when probability reaches the highest retained Fock level."""
-
-
-class LeakageError(RuntimeError):
-    """Raised when probability reaches the edge of the transfer window."""
 
 
 def _check_cap(n_max: int):
@@ -167,16 +166,6 @@ class FockTraceSeries:
     final_states: np.ndarray  # populations, shape (len(s), dim)
 
 
-@dataclass(frozen=True)
-class MResolvedSeries:
-    """Transfer-resolved probabilities p(m, t) = tr rho(m, t)."""
-
-    t: np.ndarray
-    m: np.ndarray
-    p: np.ndarray             # shape (len(t), 2*m_window+1)
-    final_states: np.ndarray  # populations, shape (2*m_window+1, dim)
-
-
 def _tilted(tilt_emit, tilt_absorb):
     def combine(stay, emitted, absorbed):
         return stay + tilt_emit * emitted + tilt_absorb * absorbed
@@ -251,67 +240,46 @@ def evolve_fock(
     )
 
 
-def _ladder(stay, emitted, absorbed):
-    # an emission moves weight from slot m to m + 1, an absorption to m - 1
-    stay[1:] += emitted[:-1]
-    stay[:-1] += absorbed[1:]
-    return stay
+def population_propagator(params: SystemParams, drive: DriveWaveform, n_max: int, t_span) -> np.ndarray:
+    """Phi over t_span: phi[j0, j] is the probability of level j at the end
+    given level j0 at the start, its rows the basis populations evolved."""
+    eye = np.eye(n_max + 1)
+    return _integrate(_tilted(1.0, 1.0), eye, params, drive, t_span, None, ORACLE_RTOL, ORACLE_ATOL)[2]
 
 
-def m_resolved_evolve(
-    p0: np.ndarray,
-    params: SystemParams,
-    drive: DriveWaveform,
-    m_window: int,
-    t_span,
-    t_eval=None,
-    *,
-    rtol: float = ORACLE_RTOL,
-    atol: float = ORACLE_ATOL,
-) -> MResolvedSeries:
-    """Evolve the transfer-resolved ladder p(m), m in [-m_window, m_window].
-
-    Counting starts at t_span[0] with all weight in m = 0. Emission feeds
-    p(m) from p(m-1), absorption from p(m+1); the ladder edges must stay
-    unpopulated (leakage below TOP_LEVEL_TOL) or the run is rejected.
-    """
-    if m_window < 1:
-        raise ValueError("m_window must be >= 1")
-    y0 = np.zeros((2 * m_window + 1, p0.shape[-1]))
-    y0[m_window] = p0
-    t, states, final = _integrate(_ladder, y0, params, drive, t_span, t_eval, rtol, atol)
-    p = states.sum(axis=-1)
-    if np.any(np.abs(p[:, 0]) > TOP_LEVEL_TOL) or np.any(np.abs(p[:, -1]) > TOP_LEVEL_TOL):
-        raise LeakageError("probability reached the transfer-window edge; raise m_window")
-    return MResolvedSeries(t=t, m=np.arange(-m_window, m_window + 1), p=p, final_states=final)
+def transfer_distribution(p0: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-point distribution (m, p) of net emissions m = j0 - j in [-n_max, n_max],
+    p(m) = sum_{j0} p0[j0] phi[j0, j0 - m], from the populations p0 when
+    counting starts and the population propagator phi over the window."""
+    n_max = p0.size - 1
+    j0, j = np.indices(phi.shape)
+    p = np.bincount((j0 - j + n_max).ravel(), weights=(p0[:, None] * phi).ravel())
+    return np.arange(-n_max, n_max + 1), p
 
 
-def relax_fock_periodic(params: SystemParams, drive: DriveWaveform, n_max: int = 40) -> np.ndarray:
-    """Fock-space route to the periodic state: its populations at t = 0.
+def relax_fock_periodic(
+    params: SystemParams, drive: DriveWaveform, n_max: int = 40
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fock-space route to the periodic state: (its populations at t = 0, Phi).
 
-    The population equation is linear, so one drive period from cycle phase
-    zero maps p to Phi p exactly. Phi is built column by column, evolving
-    each basis population over one period, and the periodic state is its
-    unit-trace fixed point: (Phi - I) p = 0 with one row replaced by
-    sum(p) = 1 (Phi preserves the trace, so the rows of Phi - I are
-    dependent). The state is certified by evolving one more period from it:
-    the max-norm defect must stay below PERIODIC_TOL, and RuntimeError is
-    raised otherwise. Without dissipation (gamma = 0) Phi = I, every state
-    is periodic, and the reservoir-equilibrium populations are returned, as
+    One drive period from cycle phase zero maps p to p @ Phi exactly, Phi
+    the population_propagator over the period. The periodic state solves
+    (Phi^T - I) p = 0 with one (dependent) row replaced by sum(p) = 1, and
+    is certified by evolving one more period from it: RuntimeError unless
+    the max-norm defect stays below PERIODIC_TOL. Without dissipation
+    (gamma = 0) Phi = I, every state is periodic, and the
+    reservoir-equilibrium populations are returned, as
     dynamics.relax_to_periodic does. With dissipation the drive must be
     periodic (ValueError otherwise).
     """
+    dim = n_max + 1
     if params.gamma == 0.0:
-        return thermal_state(params.n_thermal, n_max)
+        return thermal_state(params.n_thermal, n_max), np.eye(dim)
     if not drive.is_periodic:
         raise ValueError(f"the Fock periodic state needs a periodic drive, not {drive.kind!r}")
     tau = drive.period
-    dim = n_max + 1
-    # row k of the evolved stack is Phi applied to basis population k
-    _, _, phi_rows = _integrate(
-        _tilted(1.0, 1.0), np.eye(dim), params, drive, (0.0, tau), None, ORACLE_RTOL, ORACLE_ATOL
-    )
-    system = phi_rows.T - np.eye(dim)
+    phi = population_propagator(params, drive, n_max, (0.0, tau))
+    system = phi.T - np.eye(dim)
     system[-1] = 1.0
     p = np.linalg.solve(system, np.eye(dim)[-1])
     again = evolve_fock(p, params, drive, 0.0, (0.0, tau))
@@ -320,7 +288,7 @@ def relax_fock_periodic(params: SystemParams, drive: DriveWaveform, n_max: int =
         raise RuntimeError(
             f"Fock periodic-state certificate {defect:.2e} above {PERIODIC_TOL:.1e}"
         )
-    return p
+    return p, phi
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

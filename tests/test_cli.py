@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driven_resonator import counting, dynamics
-from driven_resonator.cli import main
+from driven_resonator.cli import COMMANDS, main
 from driven_resonator.model import config_from_dict
 
 TAU = 2.0 * math.pi / 0.1
@@ -118,6 +118,26 @@ def test_distribution_sums_to_one(tmp_path):
     assert np.all(p >= 0.0)
     header, _ = read_rows(tmp_path / "distribution_equilibrium.csv")
     assert header == ["m", "p_eq"]
+
+
+@pytest.mark.parametrize("subcommand", sorted(COMMANDS))
+def test_every_subcommand_succeeds_at_its_defaults(tmp_path, subcommand):
+    assert main([subcommand, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / f"{subcommand.replace('-', '_')}_manifest.json").read_text())
+    if subcommand == "distribution":
+        # the automatic window holds all but the bounded tail
+        diag = manifest["diagnostics"]
+        assert diag["window_tail_bound"] <= counting.WINDOW_TAIL
+        assert abs(diag["mass_defect"]) <= counting.WINDOW_TAIL
+        _, rows = read_rows(tmp_path / "distribution.csv")
+        assert len(rows) == 2 * diag["m_max"] + 1
+
+
+def test_user_window_keeps_the_hard_error(tmp_path, capsys):
+    # the defaults' distribution does not fit |m| <= 120
+    assert main(["distribution", "--out", str(tmp_path), "--m-max", "120"]) == 3
+    report = json.loads(capsys.readouterr().err)
+    assert "window probabilities sum to" in report["error"]["message"]
 
 
 def test_cumulants_csv_columns(tmp_path):

@@ -5,9 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from driven_resonator.counting import (
+    WINDOW_TAIL,
     CountingOverflowError,
     DistributionError,
     _invert_generating_function,
+    automatic_window,
     counting_epoch,
     cumulant_jet_rhs,
     cumulant_trajectories,
@@ -15,6 +17,7 @@ from driven_resonator.counting import (
     equilibrium_distribution,
     evolve_counting,
     theta_grid_size,
+    window_tail_bound,
 )
 from driven_resonator.dynamics import occupancy_trajectory
 from driven_resonator.linear_response import (
@@ -225,6 +228,28 @@ def test_equilibrium_distribution_normalizes():
     assert equilibrium_distribution(0.25, m).sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         equilibrium_distribution(0.0, 1)
+
+
+@pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 3.0])
+def test_window_tail_bound_covers_the_equilibrium_tail(x):
+    # on a constant drive in equilibrium n = n_B, q = n/(1+n) = e^-x, and the
+    # closed-form tail P(|m| > M) = 2 q^(M+1) / (1 + q) sits under the bound
+    # 2 q^(M+1)
+    n = 1.0 / math.expm1(x)
+    q = math.exp(-x)
+    for m_max in (1, 5, 20, 80):
+        beyond = np.arange(m_max + 1, m_max + 1 + int(800 / x))
+        tail = 2.0 * equilibrium_distribution(x, beyond).sum()
+        assert tail == pytest.approx(2.0 * q ** (m_max + 1) / (1.0 + q), rel=1e-12)
+        assert tail <= window_tail_bound(n, n, m_max)
+        assert window_tail_bound(n, n, m_max) == pytest.approx(2.0 * q ** (m_max + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_start, n_end", [(5.86, 7.44), (0.3, 0.1), (2.0, 2.0), (0.0, 1e-3)])
+def test_automatic_window_is_the_smallest_meeting_the_bound(n_start, n_end):
+    m_max = automatic_window(n_start, n_end)
+    assert window_tail_bound(n_start, n_end, m_max) <= WINDOW_TAIL
+    assert m_max == 1 or window_tail_bound(n_start, n_end, m_max - 1) > WINDOW_TAIL
 
 
 def test_theta_grid_oversamples():

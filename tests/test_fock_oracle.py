@@ -8,15 +8,15 @@ from driven_resonator import fock_oracle, verify
 from driven_resonator.counting import cumulant_trajectories, equilibrium_distribution
 from driven_resonator.dynamics import relax_to_periodic
 from driven_resonator.fock_oracle import (
-    LeakageError,
     TruncationError,
     apply_tilted_generator,
     build_tilted_generator,
     evolve_fock,
-    m_resolved_evolve,
+    population_propagator,
     relax_fock_periodic,
     thermal_state,
     total_variation,
+    transfer_distribution,
 )
 from driven_resonator.model import DriveWaveform, SimulationGrid, SystemParams, bose_einstein
 from tests.conftest import TAU, harmonic_drive
@@ -132,48 +132,69 @@ def test_truncation_health_monitor_rejects_tight_spaces():
         evolve_fock(vacuum, params, drive, 0.0, (0.0, 60.0), t_eval=[60.0])
 
 
+# -- two-point transfer distribution -----------------------------------------------------
+
+
 def test_m_resolved_counting_starts_at_zero():
+    # Phi(0) = I: no level has moved, so all weight sits at m = 0
     drive = DriveWaveform(kind="constant", omega_bar=1.0)
     p0 = thermal_state(X1.n_thermal, 25)
-    run = m_resolved_evolve(p0, X1, drive, 8, (0.0, 1.0), t_eval=[0.0, 1.0])
-    assert run.p[0, 8] == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(np.delete(run.p[0], 8))) < 1e-14
-    assert run.p[1].sum() == pytest.approx(1.0, abs=1e-8)
+    m, p = transfer_distribution(p0, np.eye(26))
+    assert np.array_equal(m, np.arange(-25, 26))
+    assert p[25] == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(np.delete(p, 25))) < 1e-14
+    _, p = transfer_distribution(p0, population_propagator(X1, drive, 25, (0.0, 1.0)))
+    assert p.sum() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_m_resolved_reaches_equilibrium_distribution():
     drive = DriveWaveform(kind="constant", omega_bar=1.0)
     p0 = thermal_state(X1.n_thermal, 30)
-    run = m_resolved_evolve(p0, X1, drive, 25, (0.0, 300.0), t_eval=[300.0])
-    target = equilibrium_distribution(X1.x, run.m)
-    assert total_variation(run.p[-1], target) < 1e-5
+    m, p = transfer_distribution(p0, population_propagator(X1, drive, 30, (0.0, 300.0)))
+    assert total_variation(p, equilibrium_distribution(X1.x, m)) < 1e-5
 
 
 def test_m_resolved_marginal_matches_plain_evolution():
+    # the level marginal of the two-point route is the plain evolution
     drive = harmonic_drive(0.3)
     p0 = thermal_state(X1.n_thermal, 25)
-    t_eval = [0.5 * TAU, TAU]
-    ladder = m_resolved_evolve(p0, X1, drive, 30, (0.0, TAU), t_eval=t_eval)
-    plain = evolve_fock(p0, X1, drive, 0.0, (0.0, TAU), t_eval=t_eval)
-    summed = ladder.final_states.sum(axis=0)
-    assert np.max(np.abs(summed - plain.final_states[0])) < 1e-8
+    for t1 in (0.5 * TAU, TAU):
+        phi = population_propagator(X1, drive, 25, (0.0, t1))
+        plain = evolve_fock(p0, X1, drive, 0.0, (0.0, t1))
+        assert np.max(np.abs(p0 @ phi - plain.final_states[0])) < 1e-8
 
 
 def test_m_resolved_moment_bridge():
     drive = harmonic_drive(0.3)
     p0 = thermal_state(X1.n_thermal, 30)
-    ladder = m_resolved_evolve(p0, X1, drive, 30, (0.0, TAU), t_eval=[TAU])
+    m, p = transfer_distribution(p0, population_propagator(X1, drive, 30, (0.0, TAU)))
     grid = SimulationGrid(0.0, TAU, n_samples=2)
     jets = cumulant_trajectories(1, X1, drive, grid, n_init=X1.n_thermal)
-    mean_oracle = float(ladder.m @ ladder.p[-1])
-    assert mean_oracle == pytest.approx(jets.cumulants[-1, 0], abs=1e-6)
+    assert float(m @ p) == pytest.approx(jets.cumulants[-1, 0], abs=1e-6)
 
 
-def test_window_leakage_is_rejected():
-    drive = DriveWaveform(kind="constant", omega_bar=1.0)
+def test_two_point_characteristic_function_is_the_tilted_trace():
+    # sum_m p(m) e^{i m theta} = tr rho(s = i theta): the counting field
+    # tilts emissions by e^s, and every emission raises m by one
+    drive = harmonic_drive(0.3)
     p0 = thermal_state(X1.n_thermal, 25)
-    with pytest.raises(LeakageError):
-        m_resolved_evolve(p0, X1, drive, 2, (0.0, 100.0), t_eval=[100.0])
+    m, p = transfer_distribution(p0, population_propagator(X1, drive, 25, (0.0, TAU)))
+    theta = np.array([0.3, np.pi / 2, 2.0, np.pi])
+    tilted = evolve_fock(p0, X1, drive, 1j * theta, (0.0, TAU))
+    characteristic = np.exp(1j * np.outer(theta, m)) @ p
+    assert np.max(np.abs(characteristic - tilted.trace[-1])) < 1e-9
+
+
+def test_square_probe_case_passes_the_cross_method_thresholds():
+    # the two-point route has no window to leak from: the mean is taken over
+    # its full support
+    params = SystemParams(omega_bar=1.0, gamma=0.1, T_e=0.7)
+    drive = DriveWaveform(kind="square", omega_bar=1.0, amplitude=0.3, period=TAU, phase=0.7)
+    res = verify.driven_cross_method_check(params, drive, n_max=20, m_window=16)
+    for key in ("tv_counting_tilted", "tv_counting_ladder", "tv_tilted_ladder"):
+        assert res[key] < 1e-4, key
+    assert res["mean_gap_ladder_vs_jet"] < 1e-6
+    assert res["p_ladder"].shape == (33,)
 
 
 def test_plain_evolution_keeps_state_physical():
@@ -204,7 +225,7 @@ def test_plain_evolution_keeps_state_physical():
 def test_shooting_state_matches_brute_force_relaxation(kind, gamma):
     params = SystemParams(omega_bar=1.0, gamma=gamma, T_e=1.0)
     drive = DriveWaveform(kind=kind, omega_bar=1.0, amplitude=0.3, period=TAU)
-    p = relax_fock_periodic(params, drive)
+    p, _ = relax_fock_periodic(params, drive)
     # whole periods from reservoir equilibrium until the transient,
     # exp(-gamma t) times an O(1) distance, is far below the tolerance
     periods = math.ceil(25.0 / (gamma * TAU))
@@ -223,8 +244,9 @@ def test_periodic_certificate_failure_raises(monkeypatch):
 def test_periodic_state_without_dissipation_is_thermal():
     # gamma = 0: the one-period map is the identity and the solve is singular
     params = SystemParams(omega_bar=1.0, gamma=0.0, T_e=1.0)
-    p = relax_fock_periodic(params, harmonic_drive(0.3), n_max=30)
+    p, phi = relax_fock_periodic(params, harmonic_drive(0.3), n_max=30)
     assert np.array_equal(p, thermal_state(params.n_thermal, 30))
+    assert np.array_equal(phi, np.eye(31))
 
 
 @pytest.mark.parametrize("drive", [
@@ -241,7 +263,8 @@ def test_periodic_state_needs_a_periodic_drive(drive, monkeypatch):
         relax_fock_periodic(SystemParams(omega_bar=1.0, gamma=0.1, T_e=1.0), drive, n_max=20)
     # without dissipation every state is periodic: the thermal populations
     params = SystemParams(omega_bar=1.0, gamma=0.0, T_e=1.0)
-    assert np.array_equal(relax_fock_periodic(params, drive, n_max=20), thermal_state(params.n_thermal, 20))
+    p, _ = relax_fock_periodic(params, drive, n_max=20)
+    assert np.array_equal(p, thermal_state(params.n_thermal, 20))
 
 
 # -- total variation -------------------------------------------------------------------
