@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from driven_resonator.cli import write_csv
-from driven_resonator.dynamics import relax_to_periodic, thermo_observables
+from driven_resonator.dynamics import relax_to_periodic, simulate_thermo
 from driven_resonator.model import DriveWaveform, SimulationGrid, SystemParams
 
 
@@ -42,7 +42,7 @@ def main() -> int:
     for gamma in args.couplings:
         params = SystemParams(omega_bar=1.0, gamma=gamma, T_e=args.T_e)
         state = relax_to_periodic(params, drive, grid)
-        traj = thermo_observables(state.occupancy, drive, params)
+        traj = simulate_thermo(params, drive, grid, state.start_occupation)
         if not columns:
             columns = [traj.t - state.epoch, traj.omega0]
         names.append(f"T_gamma_{gamma:g}")

@@ -164,12 +164,7 @@ def _periodic_thermo(config: Config) -> tuple[dynamics.ThermoTrajectory, dynamic
     # an aperiodic drive's periodic state already starts at grid.t_start
     window = grid
     if drive.is_periodic:
-        window = SimulationGrid(
-            t_start=state.epoch,
-            t_end=state.epoch + (grid.t_end - grid.t_start),
-            dt_max=grid.dt_max,
-            n_samples=grid.n_samples,
-        )
+        window = SimulationGrid(state.epoch, state.epoch + (grid.t_end - grid.t_start), grid.n_samples)
     occ = dynamics.occupancy_trajectory(params, drive, window, state.start_occupation)
     return dynamics.thermo_observables(occ, drive, params), state
 

@@ -152,7 +152,6 @@ def evolve_counting(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    max_step: float = np.inf,
 ) -> CountingSeries:
     """Propagate the counting pair for one or many counting-field values.
 
@@ -197,7 +196,6 @@ def evolve_counting(
         t_eval=np.asarray(t_eval, dtype=float),
         rtol=rtol,
         atol=atol,
-        max_step=max_step,
     )
     cgf = res.y[:, :ns]
     if np.any(np.real(cgf) > REAL_CGF_BOUND):
@@ -236,8 +234,6 @@ def cumulant_trajectories(
     grid: SimulationGrid,
     *,
     n_init: float | None = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> CumulantTrajectories:
     """First ``order`` cumulants versus time since the counting reset.
 
@@ -274,9 +270,6 @@ def cumulant_trajectories(
         y0,
         breakpoints=drive.breakpoints(t0, t1),
         t_eval=t0 + rel_times,
-        rtol=rtol,
-        atol=atol,
-        max_step=grid.dt_max,
     )
     factorials = np.array([math.factorial(k) for k in range(1, k1)])
     return CumulantTrajectories(
@@ -345,8 +338,6 @@ def distribution(
     grid: SimulationGrid,
     *,
     n_init: float | None = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> PhotonDistribution:
     """Distribution of net transfers after counting for t_count.
 
@@ -367,16 +358,7 @@ def distribution(
     n_theta = theta_grid_size(m_max)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     t0, n0 = counting_epoch(params, drive, grid, n_init)
-    run = evolve_counting(
-        1j * theta,
-        params,
-        drive,
-        (t0, t0 + t_count),
-        n0,
-        t_eval=[t0 + t_count],
-        rtol=rtol,
-        atol=atol,
-    )
+    run = evolve_counting(1j * theta, params, drive, (t0, t0 + t_count), n0, t_eval=[t0 + t_count])
     mgf = np.exp(run.cgf[-1])
     return _invert_generating_function(m_values, mgf, t_count)
 

@@ -23,7 +23,8 @@ The equation is linear in n, so the map over one drive period tau is
 exactly n -> exp(-gamma*tau) * n + b. The periodic state is its fixed point,
 found by one-period shooting (one integration from n = 0 gives b) and
 certified by integrating the period once more from the fixed point; no
-relaxation pre-run is needed.
+relaxation pre-run is needed. The periodic state is a start point: a
+periodic trajectory is sampled by occupancy_trajectory from it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DriveWaveform, SimulationGrid, SystemParams, bose_einstein
-from .stepping import DEFAULT_ATOL, DEFAULT_RTOL, integrate_segmented
+from .stepping import integrate_segmented
 
 __all__ = [
     "OccupancySeries",
@@ -106,16 +107,12 @@ class ThermoTrajectory:
 
 @dataclass(frozen=True)
 class PeriodicState:
-    """Certified periodic state over one drive period starting at ``epoch``."""
+    """Certified start of the periodic state: n(epoch) over one drive period."""
 
     epoch: float
     period: float
-    occupancy: OccupancySeries
+    start_occupation: float
     certificate: float  # |n(epoch + period) - n(epoch)|
-
-    @property
-    def start_occupation(self) -> float:
-        return float(self.occupancy.n[0])
 
 
 def temperature_from_occupancy(n, omega):
@@ -160,10 +157,6 @@ def _integrate_occupancy(
     t1: float,
     n_init: float,
     t_eval,
-    *,
-    rtol=DEFAULT_RTOL,
-    atol=DEFAULT_ATOL,
-    max_step=np.inf,
 ) -> OccupancySeries:
     gamma, T_e = params.gamma, params.T_e
 
@@ -178,9 +171,6 @@ def _integrate_occupancy(
         np.array([n_init, 0.0, 0.0]),
         breakpoints=drive.breakpoints(t0, t1),
         t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
     )
     jump_t = jumps_in_window(drive, t0, t1)
     jump_n = np.empty(jump_t.size)
@@ -209,15 +199,7 @@ def occupancy_trajectory(
     """Integrate the occupation over the grid window from n_init (>= 0)."""
     if n_init < 0.0:
         raise ValueError("n_init must be non-negative")
-    return _integrate_occupancy(
-        params,
-        drive,
-        grid.t_start,
-        grid.t_end,
-        n_init,
-        grid.times(),
-        max_step=grid.dt_max,
-    )
+    return _integrate_occupancy(params, drive, grid.t_start, grid.t_end, n_init, grid.times())
 
 
 def thermo_observables(
@@ -273,17 +255,17 @@ def relax_to_periodic(
     params: SystemParams,
     drive: DriveWaveform,
     grid: SimulationGrid,
-    n_init: float | None = None,
 ) -> PeriodicState:
-    """Certified periodic state by one-period shooting.
+    """Certified start of the periodic state by one-period shooting.
 
     The occupancy equation is linear in n, so its map over one period tau is
     exactly n(t0 + tau) = exp(-gamma*tau) * n(t0) + b. One period integrated
     from n = 0 gives b, and the periodic state starts from the fixed point
-    n* = b / (1 - exp(-gamma*tau)). That period is integrated again from n*
-    and sampled with grid.n_samples points; the state is certified by
-    |n(t0 + tau) - n*| below PERIODICITY_TOL relative to the thermal
-    occupation, and PeriodicConvergenceError is raised otherwise.
+    n* = b / (1 - exp(-gamma*tau)). That period is integrated again from n*;
+    the state is certified by |n(t0 + tau) - n*| below PERIODICITY_TOL
+    relative to the thermal occupation, and PeriodicConvergenceError is
+    raised otherwise. Both integrations read only the end of the period;
+    occupancy_trajectory from n* samples the periodic trajectory.
 
     The division amplifies any error of b by 1/(1 - exp(-gamma*tau)), which
     is about 1/(gamma*tau) when gamma*tau << 1: the weaker the dissipation
@@ -292,36 +274,23 @@ def relax_to_periodic(
     Periodic drives start at t0 = 0 (cycle phase zero). Aperiodic drives
     (constant, tabulated) treat the grid window as the period, with
     t0 = grid.t_start. Without dissipation (gamma = 0) every occupation is
-    periodic and n_init (default: the reservoir-equilibrium occupation) is
-    returned unchanged; otherwise n_init is not used.
+    periodic, and the start is the reservoir-equilibrium occupation.
     """
     if drive.is_periodic:
         t0, t1 = 0.0, drive.period
     else:
         t0, t1 = grid.t_start, grid.t_end
     tau = t1 - t0
-    times = np.linspace(t0, t1, grid.n_samples)
-
     if params.gamma == 0.0:
-        n0 = params.n_thermal if n_init is None else float(n_init)
-        jumps = jumps_in_window(drive, t0, t1)
-        occ = OccupancySeries(
-            t=times,
-            n=np.full(grid.n_samples, n0),
-            cumulative_work=np.zeros(grid.n_samples),
-            cumulative_heat=np.zeros(grid.n_samples),
-            jump_times=jumps,
-            jump_occupations=np.full(jumps.size, n0),
-        )
-        return PeriodicState(epoch=t0, period=tau, occupancy=occ, certificate=0.0)
+        return PeriodicState(epoch=t0, period=tau, start_occupation=params.n_thermal, certificate=0.0)
 
-    from_zero = _integrate_occupancy(params, drive, t0, t1, 0.0, [t1], max_step=grid.dt_max)
-    n_star = float(from_zero.n[-1]) / -math.expm1(-params.gamma * tau)
-    one_period = _integrate_occupancy(params, drive, t0, t1, n_star, times, max_step=grid.dt_max)
-    certificate = abs(float(one_period.n[-1]) - n_star)
+    b = float(_integrate_occupancy(params, drive, t0, t1, 0.0, [t1]).n[-1])
+    n_star = b / -math.expm1(-params.gamma * tau)
+    n_end = float(_integrate_occupancy(params, drive, t0, t1, n_star, [t1]).n[-1])
+    certificate = abs(n_end - n_star)
     tol = PERIODICITY_TOL * params.n_thermal
     if not certificate < tol:
         raise PeriodicConvergenceError(
             f"periodicity certificate {certificate:.3e} above {tol:.3e}"
         )
-    return PeriodicState(epoch=t0, period=tau, occupancy=one_period, certificate=certificate)
+    return PeriodicState(epoch=t0, period=tau, start_occupation=n_star, certificate=certificate)

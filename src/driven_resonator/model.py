@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -304,20 +305,16 @@ class SimulationGrid:
     """Integration window and output sampling.
 
     t_start, t_end : integration span, units of 1/omega_bar
-    dt_max         : maximum integrator step (np.inf = let the stepper choose)
     n_samples      : number of equally spaced output samples, >= 2
     """
 
     t_start: float = 0.0
     t_end: float = 100.0
-    dt_max: float = math.inf
     n_samples: int = 1001
 
     def __post_init__(self):
         if not self.t_end > self.t_start:
             raise ConfigError("grid requires t_end > t_start")
-        if not self.dt_max > 0.0:
-            raise ConfigError("grid requires dt_max > 0")
         if self.n_samples < 2:
             raise ConfigError("grid requires n_samples >= 2")
 
@@ -334,13 +331,26 @@ class Config:
 
 _SYSTEM_KEYS = {"omega_bar", "gamma", "T_e"}
 _DRIVE_KEYS = {"kind", "amplitude", "period", "phase", "knots"}
-_GRID_KEYS = {"t_start", "t_end", "dt_max", "n_samples"}
+_GRID_KEYS = {"t_start", "t_end", "n_samples"}
 
 
 def _reject_unknown(section: str, given: dict, allowed: set):
     unknown = set(given) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {section!r} section: {sorted(unknown)}")
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is a finite float: no bool, NaN, infinity or huge int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max
+
+
+def _check_numbers(section: str, given: dict, keys) -> None:
+    for key in keys:
+        if key in given and not _is_number(given[key]):
+            raise ConfigError(f"{section}.{key} must be a finite number, not {given[key]!r}")
 
 
 def config_from_dict(doc: dict) -> Config:
@@ -357,18 +367,23 @@ def config_from_dict(doc: dict) -> Config:
     _reject_unknown("system", doc["system"], _SYSTEM_KEYS)
     _reject_unknown("drive", doc["drive"], _DRIVE_KEYS)
     _reject_unknown("grid", doc["grid"], _GRID_KEYS)
+    _check_numbers("system", doc["system"], _SYSTEM_KEYS)
+    _check_numbers("drive", doc["drive"], _DRIVE_KEYS - {"kind", "knots"})
+    _check_numbers("grid", doc["grid"], ("t_start", "t_end"))
+    if "n_samples" in doc["grid"] and type(doc["grid"]["n_samples"]) is not int:
+        raise ConfigError(f"grid.n_samples must be an integer, not {doc['grid']['n_samples']!r}")
 
     system = SystemParams(**doc["system"])
     drive_args = dict(doc["drive"])
-    if "knots" in drive_args and drive_args["knots"] is not None:
-        drive_args["knots"] = tuple(tuple(k) for k in drive_args["knots"])
-    elif "knots" in drive_args:
-        del drive_args["knots"]
+    if "knots" in drive_args:
+        knots = drive_args["knots"]
+        if not isinstance(knots, (list, tuple)) or not all(
+            isinstance(k, (list, tuple)) and len(k) == 2 and all(map(_is_number, k)) for k in knots
+        ):
+            raise ConfigError("drive.knots must be a list of [t, omega] pairs of finite numbers")
+        drive_args["knots"] = tuple(tuple(k) for k in knots)
     drive = DriveWaveform(omega_bar=system.omega_bar, **drive_args)
-    grid_args = dict(doc["grid"])
-    if grid_args.get("dt_max") is None:
-        grid_args["dt_max"] = math.inf
-    return Config(system=system, drive=drive, grid=SimulationGrid(**grid_args))
+    return Config(system=system, drive=drive, grid=SimulationGrid(**doc["grid"]))
 
 
 def config_to_dict(config: Config) -> dict:
@@ -391,7 +406,6 @@ def config_to_dict(config: Config) -> dict:
         "grid": {
             "t_start": config.grid.t_start,
             "t_end": config.grid.t_end,
-            "dt_max": config.grid.dt_max if math.isfinite(config.grid.dt_max) else None,
             "n_samples": config.grid.n_samples,
         },
     }

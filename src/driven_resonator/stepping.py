@@ -50,7 +50,6 @@ def integrate_segmented(
     t_eval=None,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    max_step: float = np.inf,
     method=DOP853,
 ) -> SegmentedResult:
     """Integrate dy/dt = rhs(t, y, side) over t_span with exact restarts.
@@ -91,7 +90,7 @@ def integrate_segmented(
         def seg_rhs(t, yy, _b=b):
             return rhs(t, yy, -1 if t == _b else +1)
 
-        stepper = method(seg_rhs, a, y, b, rtol=rtol, atol=atol, max_step=max_step)
+        stepper = method(seg_rhs, a, y, b, rtol=rtol, atol=atol)
         while stepper.status == "running":
             message = stepper.step()
             if stepper.status == "failed":

@@ -76,7 +76,9 @@ def driven_cross_method_check(
     tau = drive.period
 
     grid = SimulationGrid(t_start=0.0, t_end=tau, n_samples=2)
-    p_counting = counting.distribution(tau, m_window, params, drive, grid).p
+    # the scalar periodic state starts at cycle phase zero, grid.t_start
+    _, n0 = counting.counting_epoch(params, drive, grid)
+    p_counting = counting.distribution(tau, m_window, params, drive, grid, n_init=n0).p
 
     p0, phi = fock_oracle.relax_fock_periodic(params, drive, n_max=n_max)
 
@@ -91,7 +93,7 @@ def driven_cross_method_check(
     mid = max(n_max, m_window)
     p_ladder = np.pad(p_two_point, mid - n_max)[mid - m_window : mid + m_window + 1]
 
-    jets = counting.cumulant_trajectories(1, params, drive, grid)
+    jets = counting.cumulant_trajectories(1, params, drive, grid, n_init=n0)
     mean_gap = abs(float(m_two_point @ p_two_point) - float(jets.cumulants[-1, 0]))
     return {
         "tv_counting_tilted": fock_oracle.total_variation(p_counting, p_tilted),

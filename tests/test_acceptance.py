@@ -43,10 +43,9 @@ def harmonic(amplitude, omega_bar=1.0):
 
 def measured_fundamentals(params, drive, n_per_period=4096):
     """First-harmonic complex amplitudes of T, P, J in the periodic state."""
-    state = dynamics.relax_to_periodic(
-        params, drive, SimulationGrid(0.0, TAU, n_samples=n_per_period + 1)
-    )
-    traj = dynamics.thermo_observables(state.occupancy, drive, params)
+    period = SimulationGrid(0.0, TAU, n_samples=n_per_period + 1)
+    state = dynamics.relax_to_periodic(params, drive, period)
+    traj = dynamics.simulate_thermo(params, drive, period, state.start_occupation)
     out = {}
     for key, series in (("T", traj.T - params.T_e), ("P", traj.P), ("J", traj.J)):
         out[key] = harmonic_amplitude(traj.t, series - np.mean(series), OMEGA_MOD, drive.phase)

@@ -15,12 +15,7 @@ def fast_config(**overrides):
     doc = {
         "system": {"omega_bar": 1.0, "gamma": 0.2, "T_e": 1.5},
         "drive": {"kind": "harmonic", "amplitude": 0.1, "period": TAU, "phase": 0.0},
-        "grid": {
-            "t_start": 0.0,
-            "t_end": TAU,
-            "dt_max": None,
-            "n_samples": 201,
-        },
+        "grid": {"t_start": 0.0, "t_end": TAU, "n_samples": 201},
     }
     for section, values in overrides.items():
         doc[section].update(values)

@@ -13,7 +13,6 @@ from driven_resonator.dynamics import (
     relax_to_periodic,
     simulate_thermo,
     temperature_from_occupancy,
-    thermo_observables,
 )
 from driven_resonator.linear_response import harmonic_amplitude, power_response
 from driven_resonator.model import (
@@ -27,6 +26,13 @@ from tests.conftest import TAU, harmonic_drive
 
 def grid(t_end, n=201, **kw):
     return SimulationGrid(t_start=0.0, t_end=t_end, n_samples=n, **kw)
+
+
+def periodic_thermo(params, drive, n_samples):
+    """The certified periodic state and one period sampled from its start at t = 0."""
+    period = grid(drive.period, n_samples)
+    state = relax_to_periodic(params, drive, period)
+    return state, simulate_thermo(params, drive, period, state.start_occupation)
 
 
 # -- occupancy equation ---------------------------------------------------------
@@ -105,8 +111,7 @@ def test_weak_coupling_temperature_follows_drive():
     # would measure that offset rather than the following law.
     params = SystemParams(omega_bar=1.0, gamma=3e-4, T_e=1.5)
     drive = harmonic_drive(0.7)
-    state = relax_to_periodic(params, drive, SimulationGrid(0.0, TAU, n_samples=501))
-    traj = thermo_observables(state.occupancy, drive, params)
+    _, traj = periodic_thermo(params, drive, 501)
     predicted = adiabatic_temperature(traj.omega0, traj.omega0[0], traj.T[0])
     assert np.max(np.abs(traj.T - predicted) / predicted) < 0.01
 
@@ -155,8 +160,7 @@ def test_square_wave_work_is_impulsive():
 
 def test_heat_flows_against_temperature_difference(warm_params):
     drive = harmonic_drive(0.5)
-    state = relax_to_periodic(warm_params, drive, SimulationGrid(0.0, TAU, n_samples=801))
-    traj = thermo_observables(state.occupancy, drive, warm_params)
+    _, traj = periodic_thermo(warm_params, drive, 801)
     hot = traj.T > warm_params.T_e * (1 + 1e-9)
     cold = traj.T < warm_params.T_e * (1 - 1e-9)
     assert np.all(traj.J[hot] < 0.0)
@@ -165,8 +169,7 @@ def test_heat_flows_against_temperature_difference(warm_params):
 
 def test_periodic_state_power_heat_balance(warm_params):
     drive = harmonic_drive(0.5)
-    state = relax_to_periodic(warm_params, drive, SimulationGrid(0.0, TAU, n_samples=801))
-    traj = thermo_observables(state.occupancy, drive, warm_params)
+    state, traj = periodic_thermo(warm_params, drive, 801)
     tau = state.period
     mean_p = (traj.cumulative_work[-1] + traj.impulse_works.sum()) / tau
     mean_j = traj.cumulative_heat[-1] / tau
@@ -177,15 +180,23 @@ def test_periodic_state_power_heat_balance(warm_params):
 
 
 def test_relax_zero_coupling_returns_initial():
+    # without dissipation every occupation is periodic; the period sampled
+    # from the start still books the drive's work, so the first law closes
     params = SystemParams(gamma=0.0, T_e=1.5)
-    state = relax_to_periodic(params, harmonic_drive(0.3), SimulationGrid(0.0, TAU, n_samples=11))
-    assert np.all(state.occupancy.n == params.n_thermal)
-    assert state.certificate == 0.0
+    for kind in ("harmonic", "sawtooth"):
+        drive = DriveWaveform(kind=kind, omega_bar=1.0, amplitude=0.3, period=TAU)
+        state, traj = periodic_thermo(params, drive, 11)
+        assert state.start_occupation == params.n_thermal
+        assert state.certificate == 0.0
+        assert np.all(traj.n == params.n_thermal)
+        assert np.max(np.abs(traj.first_law_residual())) < 1e-10
 
 
 def test_relax_constant_drive_is_flat(warm_params, constant_drive):
-    state = relax_to_periodic(warm_params, constant_drive, SimulationGrid(0.0, 50.0, n_samples=21))
-    assert np.max(np.abs(state.occupancy.n - warm_params.n_thermal)) < 1e-9
+    window = SimulationGrid(0.0, 50.0, n_samples=21)
+    state = relax_to_periodic(warm_params, constant_drive, window)
+    occ = occupancy_trajectory(warm_params, constant_drive, window, state.start_occupation)
+    assert np.max(np.abs(occ.n - warm_params.n_thermal)) < 1e-9
 
 
 def test_relax_weak_dissipation_is_certified():
@@ -231,8 +242,7 @@ def test_strong_coupling_response_is_distorted():
     # at the largest coupling the temperature develops visible harmonics
     params = SystemParams(omega_bar=1.0, gamma=0.2, T_e=1.5)
     drive = harmonic_drive(0.7)
-    state = relax_to_periodic(params, drive, SimulationGrid(0.0, TAU, n_samples=2049))
-    traj = thermo_observables(state.occupancy, drive, params)
+    _, traj = periodic_thermo(params, drive, 2049)
     omega_mod = drive.angular_frequency
     fundamental = harmonic_amplitude(traj.t, traj.T, omega_mod)
     second = harmonic_amplitude(traj.t, traj.T, 2 * omega_mod)
@@ -252,8 +262,7 @@ def test_steady_power_matches_small_signal_response(warm_params):
     # harmonic drive at 1% amplitude: the sampled power oscillation agrees
     # with the closed-form response in amplitude and phase
     drive = harmonic_drive(0.01)
-    state = relax_to_periodic(warm_params, drive, SimulationGrid(0.0, TAU, n_samples=2049))
-    traj = thermo_observables(state.occupancy, drive, warm_params)
+    _, traj = periodic_thermo(warm_params, drive, 2049)
     omega_mod = drive.angular_frequency
     measured = harmonic_amplitude(traj.t, traj.P, omega_mod, drive.phase)
     predicted = power_response(omega_mod, warm_params) * drive.amplitude

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from driven_resonator import fock_oracle, verify
+from driven_resonator import counting, fock_oracle, verify
 from driven_resonator.counting import cumulant_trajectories, equilibrium_distribution
 from driven_resonator.dynamics import relax_to_periodic
 from driven_resonator.fock_oracle import (
@@ -185,12 +185,20 @@ def test_two_point_characteristic_function_is_the_tilted_trace():
     assert np.max(np.abs(characteristic - tilted.trace[-1])) < 1e-9
 
 
-def test_square_probe_case_passes_the_cross_method_thresholds():
+def test_square_probe_case_passes_the_cross_method_thresholds(monkeypatch):
     # the two-point route has no window to leak from: the mean is taken over
     # its full support
     params = SystemParams(omega_bar=1.0, gamma=0.1, T_e=0.7)
     drive = DriveWaveform(kind="square", omega_bar=1.0, amplitude=0.3, period=TAU, phase=0.7)
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return relax_to_periodic(*args)
+
+    monkeypatch.setattr(counting, "relax_to_periodic", counted)
     res = verify.driven_cross_method_check(params, drive, n_max=20, m_window=16)
+    assert len(solves) == 1  # the scalar periodic state is solved once
     for key in ("tv_counting_tilted", "tv_counting_ladder", "tv_tilted_ladder"):
         assert res[key] < 1e-4, key
     assert res["mean_gap_ladder_vs_jet"] < 1e-6

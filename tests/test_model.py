@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,8 +233,6 @@ def test_grid_validation():
     with pytest.raises(ConfigError):
         SimulationGrid(t_start=1.0, t_end=1.0)
     with pytest.raises(ConfigError):
-        SimulationGrid(dt_max=0.0)
-    with pytest.raises(ConfigError):
         SimulationGrid(n_samples=1)
 
 
@@ -240,12 +240,7 @@ def _doc(kind="harmonic", **drive_extra):
     return {
         "system": {"omega_bar": 1.0, "gamma": 0.1, "T_e": 1.5},
         "drive": {"kind": kind, "amplitude": 0.1, "period": TAU, "phase": 0.0, **drive_extra},
-        "grid": {
-            "t_start": 0.0,
-            "t_end": 100.0,
-            "dt_max": None,
-            "n_samples": 201,
-        },
+        "grid": {"t_start": 0.0, "t_end": 100.0, "n_samples": 201},
     }
 
 
@@ -266,6 +261,49 @@ def test_unknown_keys_are_hard_errors():
     bad["grid"]["relax_periods"] = 2  # read by nothing, so no longer accepted
     with pytest.raises(ConfigError):
         config_from_dict(bad)
+    bad = _doc()
+    bad["grid"]["dt_max"] = None  # the stepper's step is unbounded, so no longer accepted
+    with pytest.raises(ConfigError, match="dt_max"):
+        config_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("grid", "n_samples", 10.5),
+        ("grid", "n_samples", "11"),
+        ("grid", "n_samples", True),
+        ("grid", "n_samples", None),
+        ("system", "gamma", None),
+        ("grid", "t_end", "abc"),
+        ("drive", "amplitude", "0.1"),
+        ("system", "T_e", math.inf),
+        ("drive", "period", math.inf),
+        ("drive", "phase", math.nan),
+        ("system", "omega_bar", True),
+        ("system", "gamma", 10**400),
+    ],
+)
+def test_config_values_are_checked_where_they_enter(section, key, value):
+    doc = _doc()
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("knots", [None, [[0.0, 1.0], [math.nan, 1.2]], [[0.0, "1.0"], [1.0, 1.2]], [[0.0]], 3])
+def test_tabulated_knots_are_checked_where_they_enter(knots):
+    with pytest.raises(ConfigError, match="knots"):
+        config_from_dict(_doc(kind="tabulated", knots=knots))
+
+
+def test_readme_config_example_parses():
+    # the documented configuration stays what the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        config_from_dict(json.loads(block))
 
 
 def test_missing_section_is_an_error():
