@@ -3,10 +3,11 @@
 Each subcommand loads a JSON configuration (or a built-in default that
 mirrors a standard parameter set), runs the corresponding computation, and
 writes CSV data files plus a JSON run manifest into the output directory.
-The manifest's ``diagnostics`` object records numerical health (the
-periodicity certificate and epoch of the periodic-state subcommands; the
-window, its tail bound and mass defect of ``distribution``); it never
-enters the data files.
+The manifest's ``diagnostics`` object records numerical health (for the
+periodic-state subcommands the periodicity certificate, the epoch, the
+occupancy quadrature's sample certificate and the largest first-law
+residual; the window, its tail bound and mass defect of ``distribution``);
+it never enters the data files.
 
 The tool is fully deterministic: it uses no random numbers anywhere, and
 identical configurations produce byte-identical data files (floats are
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -62,16 +64,31 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+# rows formatted together; bounds the writer's memory
+CSV_BLOCK_ROWS = 1024
+# printf format by numpy dtype kind; other kinds are formatted by _fmt as %s
+_PRINTF = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def _cells(col: np.ndarray) -> list:
+    """The column's cells for its printf format, converted in one pass."""
+    return col.tolist() if col.dtype.kind in _PRINTF else [_fmt(v) for v in col.tolist()]
+
+
 def write_csv(path: Path, units_comment: str, names: list[str], columns: list[np.ndarray]) -> None:
+    columns = [np.asarray(col) for col in columns]
     rows = len(columns[0])
     for col in columns:
         if len(col) != rows:
             raise ValueError("CSV columns must have equal length")
+    row = ",".join(_PRINTF.get(col.dtype.kind, "%s") for col in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {units_comment}\n")
         fh.write(",".join(names) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        # one template per block of rows, filled with every cell in row order
+        for lo in range(0, rows, CSV_BLOCK_ROWS):
+            cells = [_cells(col[lo : lo + CSV_BLOCK_ROWS]) for col in columns]
+            fh.write((row * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 def config_hash(config: Config) -> str:
@@ -157,8 +174,9 @@ def _write_thermo(outdir: Path, stem: str, traj: dynamics.ThermoTrajectory, t_of
     return [f"{stem}.csv", f"{stem}_impulses.csv"]
 
 
-def _periodic_thermo(config: Config) -> tuple[dynamics.ThermoTrajectory, dynamics.PeriodicState]:
-    """Thermo trajectory over the grid's span in the periodic state, from its epoch."""
+def _periodic_thermo(config: Config) -> tuple[dynamics.ThermoTrajectory, dict]:
+    """Thermo trajectory over the grid's span in the periodic state, from its
+    epoch, and the run's numerical health."""
     params, drive, grid = config.system, config.drive, config.grid
     state = dynamics.relax_to_periodic(params, drive, grid)
     # an aperiodic drive's periodic state already starts at grid.t_start
@@ -166,11 +184,14 @@ def _periodic_thermo(config: Config) -> tuple[dynamics.ThermoTrajectory, dynamic
     if drive.is_periodic:
         window = SimulationGrid(state.epoch, state.epoch + (grid.t_end - grid.t_start), grid.n_samples)
     occ = dynamics.occupancy_trajectory(params, drive, window, state.start_occupation)
-    return dynamics.thermo_observables(occ, drive, params), state
-
-
-def _state_diagnostics(state: dynamics.PeriodicState) -> dict:
-    return {"periodicity_certificate": state.certificate, "epoch": state.epoch}
+    traj = dynamics.thermo_observables(occ, drive, params)
+    diagnostics = {
+        "periodicity_certificate": state.certificate,
+        "epoch": state.epoch,
+        "sample_certificate": occ.certificate,
+        "first_law_residual": float(np.max(np.abs(traj.first_law_residual()))),
+    }
+    return traj, diagnostics
 
 
 def _thermo_kinds(config: Config, outdir: Path, stems: dict[str, str]) -> tuple[list[str], dict]:
@@ -187,9 +208,8 @@ def _thermo_kinds(config: Config, outdir: Path, stems: dict[str, str]) -> tuple[
             period=base.period,
             phase=base.phase,
         )
-        traj, state = _periodic_thermo(Config(system=config.system, drive=drive, grid=config.grid))
-        outputs += _write_thermo(outdir, stem, traj, state.epoch)
-        diagnostics[kind] = _state_diagnostics(state)
+        traj, diagnostics[kind] = _periodic_thermo(Config(system=config.system, drive=drive, grid=config.grid))
+        outputs += _write_thermo(outdir, stem, traj, diagnostics[kind]["epoch"])
     return outputs, diagnostics
 
 
@@ -218,7 +238,8 @@ def cmd_linear_response(config: Config, outdir: Path, args) -> tuple[list[str], 
         "P": linear_response.power_response(omega_mod, params),
         "J": linear_response.heat_response(omega_mod, params),
     }
-    traj, state = _periodic_thermo(config)
+    traj, diagnostics = _periodic_thermo(config)
+    epoch = diagnostics["epoch"]
     phase_arg = omega_mod * traj.t + drive.phase
     baselines = {"T": params.T_e, "P": 0.0, "J": 0.0}
     lr_cols = {
@@ -229,7 +250,7 @@ def cmd_linear_response(config: Config, outdir: Path, args) -> tuple[list[str], 
         outdir / "linear_response_timeseries.csv",
         THERMO_UNITS + "; *_lr are small-signal predictions",
         ["t", "omega0", "T", "P", "J", "T_lr", "P_lr", "J_lr"],
-        [traj.t - state.epoch, traj.omega0, traj.T, traj.P, traj.J, lr_cols["T"], lr_cols["P"], lr_cols["J"]],
+        [traj.t - epoch, traj.omega0, traj.T, traj.P, traj.J, lr_cols["T"], lr_cols["P"], lr_cols["J"]],
     )
     outputs.append("linear_response_timeseries.csv")
 
@@ -248,7 +269,7 @@ def cmd_linear_response(config: Config, outdir: Path, args) -> tuple[list[str], 
             [sweep, values.real, values.imag, np.abs(values), np.angle(values)],
         )
         outputs.append(name)
-    return outputs, _state_diagnostics(state)
+    return outputs, diagnostics
 
 
 def cmd_cumulants(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
@@ -317,6 +338,8 @@ def _auto_distribution_time(config: Config) -> tuple[float, SimulationGrid, floa
 
 def cmd_distribution(config: Config, outdir: Path, args) -> tuple[list[str], dict]:
     t_count, grid, n0 = args.at_time, config.grid, None
+    if t_count is not None and not math.isfinite(t_count):
+        raise ConfigError(f"--at-time must be finite, not {t_count!r}")
     if t_count is None:
         t_count, grid, n0 = _auto_distribution_time(config)
     if t_count == 0.0:

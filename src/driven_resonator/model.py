@@ -70,6 +70,12 @@ def bose_einstein_derivative(omega, T):
     return -(n * (1.0 + n)) / np.asarray(T, dtype=float)
 
 
+def _require_finite(obj, fields, error) -> None:
+    for name in fields:
+        if not math.isfinite(getattr(obj, name)):
+            raise error(f"{name} must be finite, not {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Resonator and reservoir parameters.
@@ -84,6 +90,7 @@ class SystemParams:
     T_e: float = 1.5
 
     def __post_init__(self):
+        _require_finite(self, ("omega_bar", "gamma", "T_e"), ConfigError)
         if not self.omega_bar > 0.0:
             raise ConfigError("omega_bar must be positive")
         if self.gamma < 0.0:
@@ -137,6 +144,7 @@ class DriveWaveform:
     def __post_init__(self):
         if self.kind not in DRIVE_KINDS:
             raise DriveError(f"unknown drive kind {self.kind!r}; expected one of {DRIVE_KINDS}")
+        _require_finite(self, ("omega_bar", "amplitude", "period", "phase"), DriveError)
         if not self.omega_bar > 0.0:
             raise DriveError("omega_bar must be positive")
         if self.kind == "constant":
@@ -147,6 +155,8 @@ class DriveWaveform:
             object.__setattr__(self, "knots", knots)
             if len(knots) < 2:
                 raise DriveError("tabulated drive needs at least two knots")
+            if not all(math.isfinite(v) for knot in knots for v in knot):
+                raise DriveError("tabulated knots must be finite")
             times = [t for t, _ in knots]
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise DriveError("tabulated knot times must be strictly increasing")
@@ -177,6 +187,23 @@ class DriveWaveform:
     @property
     def phase_cycles(self) -> float:
         return self.phase / (2.0 * math.pi)
+
+    @cached_property
+    def time_to_zero(self) -> float:
+        """min omega_0 / max |d omega_0 / dt|: omega_0 cannot fall to zero in less time.
+
+        Infinite for drives that are constant between jumps (constant, square).
+        """
+        if self.kind == "tabulated":
+            times, freqs = self._knot_arrays
+            low, rate = freqs.min(), np.max(np.abs(np.diff(freqs) / np.diff(times)))
+        elif self.kind == "harmonic":
+            low, rate = self.omega_bar - abs(self.amplitude), abs(self.amplitude) * self.angular_frequency
+        elif self.kind == "sawtooth":
+            low, rate = self.omega_bar - abs(self.amplitude), 2.0 * abs(self.amplitude) / self.period
+        else:
+            return math.inf
+        return float(low / rate) if rate > 0.0 else math.inf
 
     def omega(self, t, side: int = +1):
         """omega_0(t); side=-1 selects the left limit at a jump time.
@@ -313,6 +340,7 @@ class SimulationGrid:
     n_samples: int = 1001
 
     def __post_init__(self):
+        _require_finite(self, ("t_start", "t_end"), ConfigError)
         if not self.t_end > self.t_start:
             raise ConfigError("grid requires t_end > t_start")
         if self.n_samples < 2:

@@ -1,15 +1,22 @@
-"""Segmented adaptive ODE integration shared by every time-evolution path.
+"""Segmented adaptive ODE integration for the counting pair, its cumulant
+jets and the Fock oracle.
 
-The right-hand sides in this package are smooth except at drive
-discontinuities, so the integrator is an explicit embedded Runge-Kutta pair
-restarted exactly at every breakpoint: by default scipy's Dormand-Prince
-8(5,3) pair DOP853, whose eighth order needs about a third of RK45's
-right-hand-side calls at the package's 1e-12 tolerances. The stepper object
-is driven directly: a sample at the end of a step is the stepper's own
-state, and dense output is built only for steps with a sample inside them.
-Within a segment the drive is smooth; at a segment's right endpoint the
-left limit of the drive must be used, which is what the ``side`` argument
-of the RHS callback is for.
+The scalar occupancy equation is linear and needs no stepper: dynamics
+solves it by quadrature. The systems integrated here are nonlinear (the
+counting pair is a Riccati equation) or large (Fock populations), and
+smooth except at drive discontinuities, so the integrator is an explicit
+embedded Runge-Kutta pair restarted exactly at every breakpoint: by default
+scipy's Dormand-Prince 8(5,3) pair DOP853, whose eighth order needs about a
+third of RK45's right-hand-side calls at the package's 1e-12 tolerances; the
+Fock oracle keeps RK45, to stay independent of the fast paths. The stepper
+object is driven directly: a sample at the end of a step is the stepper's
+own state, and dense output is built only for steps with a sample inside
+them. Within a segment the drive is smooth; at a segment's right endpoint
+the left limit of the drive must be used, which is what the ``side``
+argument of the RHS callback is for.
+
+IntegrationError is also the package's error for a failed error
+certificate of the occupancy quadrature.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ DEFAULT_ATOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the stepper cannot meet its local error target."""
+    """Raised when the stepper cannot meet its local error target, or when
+    the occupancy quadrature's certificate fails."""
 
 
 @dataclass
@@ -36,8 +44,7 @@ class SegmentedResult:
     t: np.ndarray          # requested sample times
     y: np.ndarray          # states at sample times, shape (len(t), n)
     y_final: np.ndarray    # state at t_end
-    breakpoint_times: np.ndarray
-    breakpoint_states: np.ndarray  # states at each interior breakpoint
+    breakpoint_times: np.ndarray  # the breakpoints strictly inside t_span
     nfev: int
 
 
@@ -80,13 +87,10 @@ def integrate_segmented(
     # sample blocks, each of shape (k, n); a sample at t0 is y0 itself
     samples = [y0[None]] if t_eval.size and t_eval[0] == t0 else []
     done = len(samples)  # t_eval[:done] are sampled
-    bp_states = []
     nfev = 0
 
     y = y0
-    for i in range(len(boundaries) - 1):
-        a, b = boundaries[i], boundaries[i + 1]
-
+    for a, b in zip(boundaries[:-1], boundaries[1:]):
         def seg_rhs(t, yy, _b=b):
             return rhs(t, yy, -1 if t == _b else +1)
 
@@ -108,8 +112,6 @@ def integrate_segmented(
                 done = upto
         nfev += stepper.nfev
         y = stepper.y
-        if i < len(boundaries) - 2:
-            bp_states.append(y)
 
     empty = np.empty((0, y0.size), dtype=y0.dtype)
     return SegmentedResult(
@@ -117,6 +119,5 @@ def integrate_segmented(
         y=np.concatenate(samples) if samples else empty,
         y_final=y,
         breakpoint_times=bps,
-        breakpoint_states=np.asarray(bp_states) if bp_states else empty,
         nfev=nfev,
     )

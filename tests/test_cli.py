@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from driven_resonator import counting, dynamics
-from driven_resonator.cli import COMMANDS, main
+from driven_resonator import cli, counting, dynamics
+from driven_resonator.cli import COMMANDS, main, write_csv
 from driven_resonator.model import config_from_dict
 
 TAU = 2.0 * math.pi / 0.1
@@ -113,6 +113,45 @@ def test_distribution_sums_to_one(tmp_path):
     assert np.all(p >= 0.0)
     header, _ = read_rows(tmp_path / "distribution_equilibrium.csv")
     assert header == ["m", "p_eq"]
+
+
+@pytest.mark.parametrize("at_time", ["inf", "-inf", "nan"])
+def test_non_finite_counting_time_is_a_config_error(tmp_path, capsys, at_time):
+    # the = form, or argparse would read "-inf" as an option
+    code = main(["distribution", "--out", str(tmp_path), f"--at-time={at_time}", "--m-max", "8"])
+    assert code == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"]["type"] == "config"
+    assert "--at-time" in report["error"]["message"]
+
+
+def _cell(value) -> str:
+    # the per-cell formatting write_csv must reproduce byte for byte
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+@pytest.mark.parametrize("block_rows", [None, 5], ids=["one-block", "blocks-of-5"])
+def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block_rows):
+    if block_rows:
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    floats = np.array([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308,
+                       0.1, 1.0 / 3.0, 1e16, 2.0 ** 0.5, -2.5e-308, 7.0])
+    columns = [
+        floats,
+        np.arange(-6, 6, dtype=np.int64),  # an int64 m column
+        np.array([f"check_{i}" for i in range(12)], dtype=object),  # verify_oracle.csv's name column
+        np.array([int(i % 2) for i in range(12)]),  # ... and its passed column
+        floats[::-1].copy(),
+    ]
+    names = ["x", "m", "name", "passed", "y"]
+    path = tmp_path / "cells.csv"
+    write_csv(path, "units", names, columns)
+    rows = "".join(",".join(_cell(col[i]) for col in columns) + "\n" for i in range(12))
+    assert path.read_bytes() == ("# units\n" + ",".join(names) + "\n" + rows).encode()
 
 
 @pytest.mark.parametrize("subcommand", sorted(COMMANDS))
@@ -239,6 +278,8 @@ def test_manifests_report_periodicity_certificate(tmp_path):
         for diag in diags:
             assert 0.0 <= diag["periodicity_certificate"] < tol
             assert diag["epoch"] == 0.0
+            assert 0.0 <= diag["sample_certificate"] < dynamics.SAMPLE_TOL
+            assert 0.0 <= diag["first_law_residual"] < 1e-12
 
 
 def test_automatic_counting_time_solves_the_periodic_state_once(tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from driven_resonator.model import (
     SystemParams,
     bose_einstein,
 )
+from driven_resonator.stepping import IntegrationError
 from tests.conftest import TAU, harmonic_drive
 
 
@@ -58,6 +59,39 @@ def test_relaxation_closed_form(warm_params, constant_drive, gamma_t):
     got = occupancy_trajectory(warm_params, constant_drive, g, 0.0).n[-1]
     want = warm_params.n_thermal * (1.0 - math.exp(-gamma_t))
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_long_two_sample_window_matches_closed_form(warm_params, constant_drive):
+    # gamma*t = 40 in one sample interval: panels split by the gamma*h cap;
+    # n relaxes as n_B + (n0 - n_B) e^{-gamma t}, no work is done, and the
+    # heat is omega_bar times the change of n
+    n0, nb = 0.2, warm_params.n_thermal
+    g = SimulationGrid(t_start=5.0, t_end=5.0 + 40.0 / warm_params.gamma, n_samples=2)
+    occ = occupancy_trajectory(warm_params, constant_drive, g, n0)
+    want = nb + (n0 - nb) * math.exp(-40.0)
+    assert occ.n[-1] == pytest.approx(want, rel=1e-14)
+    assert np.all(occ.cumulative_work == 0.0)
+    assert occ.cumulative_heat[-1] == pytest.approx(want - n0, rel=1e-13)
+    assert occ.certificate < dynamics.SAMPLE_TOL
+
+
+@pytest.mark.parametrize("kind", ["sawtooth", "harmonic"])
+def test_coarse_samples_near_zero_frequency_agree_with_fine_ones(kind):
+    # omega_0 dips to 0.01, next to the pole of n_B at omega_0 = 0; panels
+    # of 3/10 of a period are split by the drive's time_to_zero
+    params = SystemParams(omega_bar=1.0, gamma=0.05, T_e=1.5)
+    drive = DriveWaveform(kind=kind, omega_bar=1.0, amplitude=0.99, period=TAU, phase=0.3)
+    state = relax_to_periodic(params, drive, grid(TAU))
+    coarse = occupancy_trajectory(params, drive, grid(3 * TAU, n=11), state.start_occupation)
+    fine = occupancy_trajectory(params, drive, grid(3 * TAU, n=3001), state.start_occupation)
+    for got, want in [(coarse.n, fine.n), (coarse.cumulative_heat, fine.cumulative_heat)]:
+        assert np.max(np.abs(got - want[::300])) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sample_certificate_failure_raises(monkeypatch, warm_params):
+    monkeypatch.setattr(dynamics, "SAMPLE_TOL", 0.0)
+    with pytest.raises(IntegrationError, match="certificate"):
+        occupancy_trajectory(warm_params, harmonic_drive(0.5), grid(TAU), 1.0)
 
 
 def test_negative_initial_occupation_rejected(warm_params, constant_drive):
@@ -224,7 +258,8 @@ def test_square_fixed_point_matches_closed_form(gamma):
     state = relax_to_periodic(params, drive, SimulationGrid(0.0, TAU, n_samples=11))
     a = math.exp(-gamma * TAU / 2)
     want = (a * bose_einstein(1.7, 1.5) + bose_einstein(0.3, 1.5)) / (1 + a)
-    assert state.start_occupation == pytest.approx(want, rel=1e-10)
+    # the integrand is constant per half period, so the quadrature is exact
+    assert state.start_occupation == pytest.approx(want, rel=1e-13)
 
 
 def test_harmonic_fixed_point_matches_brute_force_relaxation():

@@ -77,6 +77,32 @@ def test_params_validation():
         SystemParams(T_e=0.0)
 
 
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda v: SystemParams(omega_bar=v), ConfigError),
+        (lambda v: SystemParams(gamma=v), ConfigError),
+        (lambda v: SystemParams(T_e=v), ConfigError),
+        (lambda v: DriveWaveform(kind="harmonic", omega_bar=v, amplitude=0.1, period=TAU), DriveError),
+        (lambda v: DriveWaveform(kind="harmonic", omega_bar=1.0, amplitude=v, period=TAU), DriveError),
+        (lambda v: DriveWaveform(kind="harmonic", omega_bar=1.0, amplitude=0.1, period=v), DriveError),
+        (lambda v: DriveWaveform(kind="square", omega_bar=1.0, amplitude=0.1, period=TAU, phase=v), DriveError),
+        (lambda v: DriveWaveform(kind="tabulated", omega_bar=1.0, knots=((0.0, 1.0), (v, 1.2))), DriveError),
+        (lambda v: SimulationGrid(t_start=v, t_end=1.0), ConfigError),
+        (lambda v: SimulationGrid(t_start=0.0, t_end=v), ConfigError),
+    ],
+    ids=["omega_bar", "gamma", "T_e", "drive.omega_bar", "amplitude", "period", "phase", "knots",
+         "t_start", "t_end"],
+)
+def test_constructors_reject_non_finite_values(build, error, value):
+    with pytest.raises(error, match="finite"):
+        build(value)
+
+
 def test_weak_coupling_advisory_warns_but_accepts():
     with pytest.warns(UserWarning):
         p = SystemParams(omega_bar=1.0, gamma=1.5, T_e=1.0)
@@ -218,6 +244,19 @@ def test_float_time_gives_the_bits_of_the_array_evaluation(drive, data):
                 value = method(float(t), side)
                 assert isinstance(value, float)
                 assert np.float64(value).tobytes() == expected.tobytes(), (t, side, method)
+
+
+def test_time_to_zero_is_lowest_frequency_over_fastest_rate():
+    harmonic = DriveWaveform(kind="harmonic", omega_bar=1.0, amplitude=0.5, period=TAU)
+    assert harmonic.time_to_zero == pytest.approx(0.5 / (0.5 * 2.0 * math.pi / TAU))
+    sawtooth = DriveWaveform(kind="sawtooth", omega_bar=1.0, amplitude=-0.5, period=TAU)
+    assert sawtooth.time_to_zero == pytest.approx(TAU / 2.0)
+    tabulated = DriveWaveform(kind="tabulated", omega_bar=1.0, knots=((0.0, 1.0), (10.0, 0.5), (11.0, 0.6)))
+    assert tabulated.time_to_zero == pytest.approx(0.5 / 0.1)
+    for kind in ("constant", "square"):
+        drive = DriveWaveform(kind=kind, omega_bar=1.0, amplitude=0.0 if kind == "constant" else 0.5,
+                              period=TAU)
+        assert drive.time_to_zero == math.inf
 
 
 def test_phase_offset_shifts_square_edges():
