@@ -6,7 +6,8 @@ writes CSV data files plus a JSON run manifest into the output directory.
 The manifest's ``diagnostics`` object records numerical health (for the
 periodic-state subcommands the periodicity certificate, the epoch, the
 occupancy quadrature's sample certificate and the largest first-law
-residual; the window, its tail bound and mass defect of ``distribution``);
+residual; the window, its tail bound, the counting-field grid, its
+aliasing bound and the mass defect of ``distribution``);
 it never enters the data files.
 
 The tool is fully deterministic: it uses no random numbers anywhere, and
@@ -369,8 +370,14 @@ def cmd_distribution(config: Config, outdir: Path, args) -> tuple[list[str], dic
         ["m", "p_eq"],
         [dist.m, counting.equilibrium_distribution(config.system.x, dist.m)],
     )
-    bound = counting.window_tail_bound(n0, n1, m_max)
-    diagnostics = {"m_max": m_max, "window_tail_bound": bound, "mass_defect": 1.0 - float(dist.p.sum())}
+    n_theta = counting.theta_grid_size(m_max)
+    diagnostics = {
+        "m_max": m_max,
+        "window_tail_bound": counting.window_tail_bound(n0, n1, m_max),
+        "theta_grid": n_theta,
+        "alias_bound": counting.window_tail_bound(n0, n1, n_theta - m_max - 1),
+        "mass_defect": 1.0 - float(dist.p.sum()),
+    }
     return ["distribution.csv", "distribution_equilibrium.csv"], diagnostics
 
 
@@ -444,9 +451,20 @@ def _error(kind: str, message: str, code: int) -> int:
     return code
 
 
+def _attach_at_time(argv: list[str]) -> list[str]:
+    """``--at-time V`` as ``--at-time=V``: argparse takes a separate word
+    such as -inf or -1e3 for an option, not for the option's value."""
+    out = []
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word == "--at-time" else None
+        out.append(word if value is None else f"{word}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_at_time(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         return _error("usage", str(exc), 2)
     t0 = time.monotonic()

@@ -11,7 +11,20 @@ obey a closed pair of ODEs:
 
 with n_B evaluated at the instantaneous drive frequency. Counting starts
 with C = 0 and n_s equal to the physical occupation. At s = 0 the pair
-degenerates to the plain occupancy equation.
+degenerates to the plain occupancy equation. The counting-field formalism
+is that of Esposito, Harbola & Mukamel, Rev. Mod. Phys. 81, 1665 (2009).
+
+The only time-dependent quantity in the pair is the scalar n_B(t), and
+every coefficient is affine in it. With g_e = gamma*(e^s - 1) and
+g_a = gamma*(e^-s - 1) the pair reads
+
+    dC/dt   = a*n_s + g_a*n_B
+    dn_s/dt = (a*n_s + b)*n_s + (g_a + gamma)*n_B,
+    a = g_e + (g_e + g_a)*n_B,   b = 2*g_a*n_B - gamma,
+
+so the coefficients are built once per solve, and a right-hand side call
+costs a few array operations (counting_pair_rhs). The same holds for the
+jets (cumulant_jet_rhs).
 
 Three consumers build on the pair:
 
@@ -21,7 +34,8 @@ Three consumers build on the pair:
 * the full distribution p(m, t), by evaluating the generating function on a
   uniform grid of purely imaginary counting fields and applying a discrete
   Fourier transform — for integer m the inversion integral is exactly a
-  Fourier series, so the only error is aliasing of mass outside the window;
+  Fourier series, so the only error is aliasing of mass outside the window,
+  which theta_grid_size bounds;
 * the saturated equilibrium distribution in closed form, as an oracle.
 
 For periodically driven figures, counting begins after the occupation has
@@ -40,7 +54,7 @@ import numpy as np
 
 from .dynamics import relax_to_periodic
 from .model import DriveWaveform, SimulationGrid, SystemParams
-from .series import exp_minus_one_jet, jet_mul
+from .series import exp_minus_one_jet, jet_mul_matrix
 from .stepping import DEFAULT_ATOL, DEFAULT_RTOL, integrate_segmented
 
 __all__ = [
@@ -50,6 +64,7 @@ __all__ = [
     "CumulantTrajectories",
     "PhotonDistribution",
     "evolve_counting",
+    "counting_pair_rhs",
     "cumulant_jet_rhs",
     "cumulant_trajectories",
     "theta_grid_size",
@@ -142,6 +157,26 @@ def counting_epoch(
     return periodic.epoch, periodic.start_occupation
 
 
+def counting_pair_rhs(s, gamma: float):
+    """Right-hand side f(n_s, n_B) -> (dC/dt, dn_s/dt) of the counting pair,
+    concatenated, for the counting fields s (1-D, complex).
+
+    Every coefficient is affine in n_B, so the coefficients are built here,
+    once, and a call costs about ten array operations.
+    """
+    g_e = gamma * np.expm1(s)   # gamma*(e^s - 1)
+    g_a = gamma * np.expm1(-s)  # gamma*(e^-s - 1)
+    g_sum = g_e + g_a
+    g_a2 = 2.0 * g_a
+    g_d = g_a + gamma
+
+    def rhs(n_s, n_b: float):
+        an = (g_e + n_b * g_sum) * n_s
+        return np.concatenate([an + n_b * g_a, (an + (n_b * g_a2 - gamma)) * n_s + n_b * g_d])
+
+    return rhs
+
+
 def evolve_counting(
     s,
     params: SystemParams,
@@ -161,9 +196,8 @@ def evolve_counting(
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
     ns = s_arr.size
-    gamma, T_e = params.gamma, params.T_e
-    ge = gamma * np.expm1(s_arr)    # gamma*(e^s - 1)
-    ga = gamma * np.expm1(-s_arr)   # gamma*(e^-s - 1)
+    T_e = params.T_e
+    pair = counting_pair_rhs(s_arr, params.gamma)
 
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
@@ -172,20 +206,12 @@ def evolve_counting(
     def rhs(t, y, side):
         # guard during stepping: divergence can kill the stepper before any
         # sample is collected, so the bound must be enforced on the fly
-        if np.any(y[:ns].real > REAL_CGF_BOUND):
+        if y[:ns].real.max() > REAL_CGF_BOUND:
             raise CountingOverflowError(
                 f"Re C exceeded {REAL_CGF_BOUND} at t = {t:.6g}; the "
                 "generating function would overflow"
             )
-        w = drive.omega(t, side)
-        nb = 1.0 / math.expm1(w / T_e)
-        n_s = y[ns:]
-        one = 1.0 + n_s
-        emit = ge * (1.0 + nb)
-        absorb = ga * nb
-        d_c = emit * n_s + absorb * one
-        d_n = emit * n_s * n_s + absorb * one * one + gamma * (nb - n_s)
-        return np.concatenate([d_c, d_n])
+        return pair(y[ns:], 1.0 / math.expm1(drive.omega(t, side) / T_e))
 
     y0 = np.concatenate([np.zeros(ns, dtype=complex), np.full(ns, n_init, dtype=complex)])
     res = integrate_segmented(
@@ -205,26 +231,36 @@ def evolve_counting(
     return CountingSeries(t=res.t, s=s_arr, cgf=cgf, occupation=res.y[:, ns:])
 
 
-def cumulant_jet_rhs(c_hat, nu, n_b: float, gamma: float, ep1, em1):
-    """Time derivatives of the counting-pair jets.
+def cumulant_jet_rhs(order: int, gamma: float):
+    """Right-hand side f(nu, n_B) -> (d c_hat/dt, d nu/dt) of the
+    counting-pair jets to the given order, concatenated.
 
     c_hat and nu are coefficient arrays of C(s, t) and n(s, t) in powers of
-    s (coefficient k = cumulant_k / k! and n_k / k!). ep1/em1 are the jets
-    of e^s - 1 and e^-s - 1 to the same order. The hand-derived low-order
-    hierarchy equations are recovered exactly by these convolutions.
+    s (coefficient k = cumulant_k / k! and n_k / k!); C does not enter the
+    pair. The pair's series products with the jets of e^s - 1 and e^-s - 1
+    are fixed matrices, and every coefficient is affine in n_B, so
+
+        f(nu, n_B) = (m0 + n_B*m1) @ [nu, nu*nu] + n_B*b1,
+
+    with nu*nu the truncated self-product: one convolution and one
+    matrix-vector product per call. The hand-derived low-order hierarchy
+    equations are recovered exactly.
     """
-    one_plus_nu = nu.copy()
-    one_plus_nu[0] += 1.0
-    emit = gamma * (1.0 + n_b)
-    absorb = gamma * n_b
-    d_c = emit * jet_mul(ep1, nu) + absorb * jet_mul(em1, one_plus_nu)
-    d_nu = (
-        emit * jet_mul(ep1, jet_mul(nu, nu))
-        + absorb * jet_mul(em1, jet_mul(one_plus_nu, one_plus_nu))
-        - gamma * nu
-    )
-    d_nu[0] += gamma * n_b
-    return d_c, d_nu
+    k1 = order + 1
+    em1 = exp_minus_one_jet(order, -1)
+    ep1_mul, em1_mul = jet_mul_matrix(exp_minus_one_jet(order, +1)), jet_mul_matrix(em1)
+    both = ep1_mul + em1_mul
+    eye, zero = np.eye(k1), np.zeros((k1, k1))
+    # rows: d c_hat, d nu; columns: nu, nu*nu
+    m0 = gamma * np.block([[ep1_mul, zero], [-eye, ep1_mul]])
+    m1 = gamma * np.block([[both, zero], [2.0 * em1_mul, both]])
+    b1 = gamma * np.concatenate([em1, em1 + eye[0]])
+
+    def rhs(nu, n_b: float):
+        z = np.concatenate([nu, np.convolve(nu, nu)[:k1]])
+        return (m0 + n_b * m1) @ z + n_b * b1
+
+    return rhs
 
 
 def cumulant_trajectories(
@@ -247,9 +283,8 @@ def cumulant_trajectories(
     if order > JET_CAPACITY:
         raise ValueError(f"order {order} exceeds the jet capacity {JET_CAPACITY}")
     k1 = order + 1
-    ep1 = exp_minus_one_jet(order, +1)
-    em1 = exp_minus_one_jet(order, -1)
-    gamma, T_e = params.gamma, params.T_e
+    T_e = params.T_e
+    jets = cumulant_jet_rhs(order, params.gamma)
 
     t0, n0 = counting_epoch(params, drive, grid, n_init)
     duration = grid.t_end - grid.t_start
@@ -257,10 +292,7 @@ def cumulant_trajectories(
     rel_times = grid.times() - grid.t_start
 
     def rhs(t, y, side):
-        w = drive.omega(t, side)
-        nb = 1.0 / math.expm1(w / T_e)
-        d_c, d_nu = cumulant_jet_rhs(y[:k1], y[k1:], nb, gamma, ep1, em1)
-        return np.concatenate([d_c, d_nu])
+        return jets(y[k1:], 1.0 / math.expm1(drive.omega(t, side) / T_e))
 
     y0 = np.zeros(2 * k1)
     y0[k1] = n0
@@ -281,8 +313,15 @@ def cumulant_trajectories(
 
 
 def theta_grid_size(m_max: int) -> int:
-    """Power-of-two grid comfortably oversampled against aliasing."""
-    return 1 << max(1, int(math.ceil(math.log2(4 * (2 * m_max + 1)))))
+    """Smallest power of two N >= 3*m_max + 2 counting fields.
+
+    The discrete Fourier transform on N fields folds p(m') onto m' mod N,
+    so the mass aliased into the window |m| <= M comes from |m'| >= N - M,
+    and is at most window_tail_bound(n_start, n_end, N - M - 1). With
+    N >= 3M + 2 that is at most q0^(2M+2) + q1^(2M+2), which is at most the
+    square of the window's own window_tail_bound(n_start, n_end, M).
+    """
+    return 1 << (3 * m_max + 1).bit_length()
 
 
 def window_tail_bound(n_start: float, n_end: float, m_max: int) -> float:

@@ -70,7 +70,7 @@ __all__ = [
     "relax_to_periodic",
 ]
 
-# relative periodicity certificate on n, in units of the thermal occupation
+# periodicity certificate on n, relative to the periodic state's own n*
 PERIODICITY_TOL = 1e-9
 # sample certificate: the gap between the two rules' n relative to the
 # largest n, and of cumulative work and heat relative to the largest energy
@@ -375,7 +375,8 @@ def relax_to_periodic(
     point n* = b / (1 - exp(-gamma*tau)). A recurrence closes on its own
     fixed point by construction, so the certificate is the gap between the
     n* of the two quadrature rules; PeriodicConvergenceError is raised
-    unless it is below PERIODICITY_TOL relative to the thermal occupation.
+    unless it is below PERIODICITY_TOL relative to n* itself, a scale that
+    holds at any reservoir temperature.
     occupancy_trajectory from n* samples the periodic trajectory.
 
     The division amplifies any error of b by 1/(1 - exp(-gamma*tau)), which
@@ -399,7 +400,7 @@ def relax_to_periodic(
     closure = -math.expm1(-params.gamma * tau)
     coarse, fine = (ends[-1] / closure for ends, _, _ in _quadrature(params, drive, edges, 0.0))
     certificate = abs(coarse - fine)
-    tol = PERIODICITY_TOL * params.n_thermal
+    tol = PERIODICITY_TOL * fine
     if not certificate < tol:
         raise PeriodicConvergenceError(
             f"periodicity certificate {certificate:.3e} above {tol:.3e}"

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "jet_mul",
+    "jet_mul_matrix",
     "jet_recip",
     "jet_log",
     "exp_jet",
@@ -28,6 +29,16 @@ def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product; the result keeps the shorter operand's order."""
     n = min(len(a), len(b))
     return np.convolve(a[:n], b[:n])[:n]
+
+
+def jet_mul_matrix(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz matrix T of multiplication by a:
+    T @ b equals jet_mul(a, b) for every b of a's length."""
+    n = len(a)
+    out = np.zeros((n, n), dtype=np.result_type(a, float))
+    for j in range(n):  # column j: a times s**j
+        out[j:, j] = a[: n - j]
+    return out
 
 
 def jet_recip(a: np.ndarray) -> np.ndarray:

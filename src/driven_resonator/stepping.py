@@ -8,12 +8,18 @@ smooth except at drive discontinuities, so the integrator is an explicit
 embedded Runge-Kutta pair restarted exactly at every breakpoint: by default
 scipy's Dormand-Prince 8(5,3) pair DOP853, whose eighth order needs about a
 third of RK45's right-hand-side calls at the package's 1e-12 tolerances; the
-Fock oracle keeps RK45, to stay independent of the fast paths. The stepper
-object is driven directly: a sample at the end of a step is the stepper's
-own state, and dense output is built only for steps with a sample inside
-them. Within a segment the drive is smooth; at a segment's right endpoint
-the left limit of the drive must be used, which is what the ``side``
-argument of the RHS callback is for.
+Fock oracle keeps RK45, to stay independent of the fast paths. The
+right-hand sides of the counting pair and its jets are affine in the one
+time-dependent scalar n_B(t), so their callers build the coefficients once
+per solve and a call costs a few array operations (counting_pair_rhs and
+cumulant_jet_rhs in counting); the stepper's own work per step is then a
+large share of the cost.
+
+The stepper object is driven directly: a sample at the end of a step is
+the stepper's own state, and dense output is built only for steps with a
+sample inside them. Within a segment the drive is smooth; at a segment's
+right endpoint the left limit of the drive must be used, which is what the
+``side`` argument of the RHS callback is for.
 
 IntegrationError is also the package's error for a failed error
 certificate of the occupancy quadrature.

@@ -115,10 +115,16 @@ def test_distribution_sums_to_one(tmp_path):
     assert header == ["m", "p_eq"]
 
 
-@pytest.mark.parametrize("at_time", ["inf", "-inf", "nan"])
-def test_non_finite_counting_time_is_a_config_error(tmp_path, capsys, at_time):
-    # the = form, or argparse would read "-inf" as an option
-    code = main(["distribution", "--out", str(tmp_path), f"--at-time={at_time}", "--m-max", "8"])
+NON_FINITE = ["inf", "-inf", "nan", "-nan"]
+
+
+@pytest.mark.parametrize(
+    "words",
+    [pytest.param([f"--at-time={v}"], id=v) for v in NON_FINITE]
+    + [pytest.param(["--at-time", v], id=f"{v}-as-word") for v in NON_FINITE],
+)
+def test_non_finite_counting_time_is_a_config_error(tmp_path, capsys, words):
+    code = main(["distribution", "--out", str(tmp_path), *words, "--m-max", "8"])
     assert code == 2
     report = json.loads(capsys.readouterr().err)
     assert report["error"]["type"] == "config"
@@ -163,6 +169,8 @@ def test_every_subcommand_succeeds_at_its_defaults(tmp_path, subcommand):
         diag = manifest["diagnostics"]
         assert diag["window_tail_bound"] <= counting.WINDOW_TAIL
         assert abs(diag["mass_defect"]) <= counting.WINDOW_TAIL
+        assert diag["theta_grid"] == counting.theta_grid_size(diag["m_max"])
+        assert 0.0 < diag["alias_bound"] <= diag["window_tail_bound"] ** 2
         _, rows = read_rows(tmp_path / "distribution.csv")
         assert len(rows) == 2 * diag["m_max"] + 1
 
@@ -280,6 +288,15 @@ def test_manifests_report_periodicity_certificate(tmp_path):
             assert diag["epoch"] == 0.0
             assert 0.0 <= diag["sample_certificate"] < dynamics.SAMPLE_TOL
             assert 0.0 <= diag["first_law_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("subcommand", ["temperature", "cumulants", "distribution"])
+def test_cold_reservoir_certifies_the_periodic_state(tmp_path, subcommand):
+    # n_thermal(omega_bar) is about e^-50 at T_e 0.02, far below the
+    # occupations the drive reaches; the certificate is relative to n*
+    doc = fast_config(system={"gamma": 0.05, "T_e": 0.02}, drive={"amplitude": 0.7})
+    cfg = write_config(tmp_path, doc)
+    assert main([subcommand, "--params", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_automatic_counting_time_solves_the_periodic_state_once(tmp_path, monkeypatch):

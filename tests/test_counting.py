@@ -11,6 +11,7 @@ from driven_resonator.counting import (
     _invert_generating_function,
     automatic_window,
     counting_epoch,
+    counting_pair_rhs,
     cumulant_jet_rhs,
     cumulant_trajectories,
     distribution,
@@ -26,7 +27,6 @@ from driven_resonator.linear_response import (
     equilibrium_occupation_s,
 )
 from driven_resonator.model import DriveWaveform, SimulationGrid, SystemParams
-from driven_resonator.series import exp_minus_one_jet
 from tests.conftest import TAU, harmonic_drive
 
 
@@ -117,21 +117,33 @@ def test_shifted_occupation_pole_fails_loudly(hot_params, constant_drive):
         )
 
 
+def test_pair_rhs_is_the_pair_equations():
+    # the affine form against the module docstring's equations, written out
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        s = rng.normal(scale=0.7, size=6) + 1j * rng.uniform(-np.pi, np.pi, size=6)
+        n_s = rng.normal(size=6) + 1j * rng.normal(size=6)
+        gamma, n_b = rng.uniform(0.01, 1.0), rng.uniform(0.0, 8.0)
+        d_c, d_n = np.split(counting_pair_rhs(s, gamma)(n_s, n_b), 2)
+        emit, absorb = gamma * (np.exp(s) - 1.0), gamma * (np.exp(-s) - 1.0)
+        want_c = emit * n_s * (1 + n_b) + absorb * n_b * (1 + n_s)
+        want_n = emit * n_s**2 * (1 + n_b) + absorb * n_b * (1 + n_s) ** 2 + gamma * (n_b - n_s)
+        assert np.max(np.abs(d_c - want_c)) <= 1e-12 * np.max(np.abs(want_c))
+        assert np.max(np.abs(d_n - want_n)) <= 1e-12 * np.max(np.abs(want_n))
+
+
 # -- jet hierarchy -----------------------------------------------------------------
 
 
 def test_jet_rhs_reproduces_hand_derived_hierarchy():
     # order-1 and order-2 ladder equations, written out by hand, must agree
-    # with the series-arithmetic right-hand side at machine precision
+    # with the affine series-arithmetic right-hand side at machine precision
     rng = np.random.default_rng(11)
     order = 4
-    ep1 = exp_minus_one_jet(order, +1)
-    em1 = exp_minus_one_jet(order, -1)
     for _ in range(25):
         gamma, n_b = rng.uniform(0.01, 1.0, size=2)
         nu = rng.normal(size=order + 1)
-        c_hat = np.concatenate([[0.0], rng.normal(size=order)])
-        d_c, d_nu = cumulant_jet_rhs(c_hat, nu, n_b, gamma, ep1, em1)
+        d_c, d_nu = np.split(cumulant_jet_rhs(order, gamma)(nu, n_b), 2)
         n0, n1 = nu[0], nu[1]  # nu[k] = n_k / k!
         assert d_c[0] == 0.0
         assert d_c[1] == pytest.approx(gamma * (n0 - n_b), rel=1e-12, abs=1e-12)
@@ -252,11 +264,17 @@ def test_automatic_window_is_the_smallest_meeting_the_bound(n_start, n_end):
     assert m_max == 1 or window_tail_bound(n_start, n_end, m_max - 1) > WINDOW_TAIL
 
 
-def test_theta_grid_oversamples():
-    for m_max in (1, 5, 30, 120):
+def test_theta_grid_holds_the_aliasing_bound():
+    assert [theta_grid_size(m) for m in (1, 2, 3, 80, 160)] == [8, 8, 16, 256, 512]
+    for m_max in range(1, 400):
         n = theta_grid_size(m_max)
-        assert n >= 4 * (2 * m_max + 1)
         assert n & (n - 1) == 0
+        assert n >= 3 * m_max + 2 > n // 2
+        # mass folded into the window lies at |m| >= n - m_max, and its bound
+        # is at most the square of the window's own tail bound
+        for n_start, n_end in ((5.86, 7.44), (0.3, 0.1), (40.0, 0.0)):
+            window = window_tail_bound(n_start, n_end, m_max)
+            assert window_tail_bound(n_start, n_end, n - m_max - 1) <= window * window
 
 
 def test_window_too_small_is_rejected(hot_params, constant_drive):
@@ -274,6 +292,22 @@ def test_inversion_flags_edge_mass():
     with pytest.warns(UserWarning):
         dist = _invert_generating_function(m_values, mgf, 1.0)
     assert dist.p[-1] == pytest.approx(1.0)
+
+
+def test_distribution_matches_the_fourfold_oversampled_grid(hot_params, monkeypatch):
+    # the grid 4(2M+1) had four times the fields; the smaller grid's
+    # aliasing is below rounding, so the two inversions agree
+    from driven_resonator import counting as counting_mod
+
+    drive = harmonic_drive(0.6)
+    grid = SimulationGrid(0.0, 4 * TAU, n_samples=2)
+    t_count, m_max = 2.5 * TAU, 150
+    small = distribution(t_count, m_max, hot_params, drive, grid)
+    # the smallest power of two >= 4(2M+1)
+    monkeypatch.setattr(counting_mod, "theta_grid_size", lambda m: 1 << (8 * m + 3).bit_length())
+    assert counting_mod.theta_grid_size(m_max) == 4 * theta_grid_size(m_max)
+    large = distribution(t_count, m_max, hot_params, drive, grid)
+    assert np.max(np.abs(small.p - large.p)) < 1e-14
 
 
 def test_driven_distribution_moments_match_jets(hot_params):

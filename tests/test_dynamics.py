@@ -242,6 +242,15 @@ def test_relax_weak_dissipation_is_certified():
     assert state.epoch == 0.0
 
 
+def test_relax_cold_reservoir_is_certified_relative_to_n_star():
+    # at T_e 0.02 the drive lifts n* some twenty decades above
+    # n_thermal(omega_bar) ~ e^-50, so a gap in units of n_thermal fails
+    params = SystemParams(omega_bar=1.0, gamma=0.05, T_e=0.02)
+    state = relax_to_periodic(params, harmonic_drive(0.7), SimulationGrid(0.0, TAU, n_samples=11))
+    assert state.start_occupation > 1e10 * params.n_thermal
+    assert state.certificate < dynamics.PERIODICITY_TOL * state.start_occupation
+
+
 def test_relax_certificate_failure_raises(monkeypatch, warm_params):
     monkeypatch.setattr(dynamics, "PERIODICITY_TOL", 0.0)
     with pytest.raises(PeriodicConvergenceError):

@@ -11,6 +11,7 @@ from driven_resonator.series import (
     exp_minus_one_jet,
     jet_log,
     jet_mul,
+    jet_mul_matrix,
     jet_recip,
 )
 
@@ -22,6 +23,14 @@ coeff = st.floats(-3.0, 3.0)
 def test_mul_commutes(a, b):
     a, b = np.array(a), np.array(b)
     assert np.allclose(jet_mul(a, b), jet_mul(b, a), atol=1e-12)
+
+
+@given(st.lists(coeff, min_size=1, max_size=9), st.data())
+@settings(max_examples=80, deadline=None)
+def test_mul_matrix_is_the_truncated_product(a, data):
+    a = np.array(a)
+    b = np.array(data.draw(st.lists(coeff, min_size=a.size, max_size=a.size)))
+    assert np.allclose(jet_mul_matrix(a) @ b, jet_mul(a, b), rtol=0.0, atol=1e-13)
 
 
 @given(st.lists(coeff, min_size=4, max_size=6))
